@@ -1,0 +1,14 @@
+"""Put the benchmark's modules and the program source on the import path.
+
+Run the self-tests from the repository root:
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
