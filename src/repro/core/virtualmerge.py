@@ -64,6 +64,10 @@ class VirtualMerger:
         self.total_bytes = 0.0
         self.emitted_bytes = 0.0
         self._total_delivered = 0.0
+        #: Bumped whenever a run's coverage or the heap's entries change;
+        #: keys the :meth:`bottlenecks` memo.
+        self._version = 0
+        self._bottlenecks_memo: tuple[int, int, list[Hashable]] | None = None
 
     # -- run management ---------------------------------------------------
 
@@ -74,6 +78,7 @@ class VirtualMerger:
         self._runs[run_id] = run
         self.total_bytes += run.total
         heapq.heappush(self._heap, (run.coverage, run_id))
+        self._version += 1
 
     def feed(self, run_id: Hashable, nbytes: float) -> None:
         """Deliver ``nbytes`` more of run ``run_id`` to the reducer side."""
@@ -86,6 +91,7 @@ class VirtualMerger:
         if run.delivered >= run.total - _EPS:
             run.eof = True
         heapq.heappush(self._heap, (run.coverage, run_id))
+        self._version += 1
 
     def remaining(self, run_id: Hashable) -> float:
         """Bytes of ``run_id`` not yet delivered."""
@@ -126,6 +132,7 @@ class VirtualMerger:
             actual = self._runs[run_id].coverage
             if actual - cov > _EPS:
                 heapq.heapreplace(self._heap, (actual, run_id))
+                self._version += 1
             else:
                 # Return the heap entry, not ``actual``: every entry is a
                 # lower bound on its run's coverage, so the top is <= the
@@ -176,7 +183,15 @@ class VirtualMerger:
 
         These are the runs whose refill unblocks the merge — the fetch
         scheduler targets them first.  Lazily cleans stale heap entries.
+
+        A call only refreshes stale entries and drops duplicate or finished
+        ones, so a repeat call on unchanged state returns the same list:
+        that list is memoised until the next :meth:`add_run`, :meth:`feed`
+        or :meth:`frontier` refresh.
         """
+        memo = self._bottlenecks_memo
+        if memo is not None and memo[0] == self._version and memo[1] == k:
+            return list(memo[2])
         out: list[Hashable] = []
         seen: set[Hashable] = set()
         stale: list[tuple[float, Hashable]] = []
@@ -193,4 +208,5 @@ class VirtualMerger:
             stale.append((cov, run_id))
         for entry in stale:
             heapq.heappush(self._heap, entry)
-        return out
+        self._bottlenecks_memo = (self._version, k, out)
+        return list(out)

@@ -2,14 +2,22 @@
 
 Design notes
 ------------
-The kernel follows the classic event-calendar architecture: a binary heap of
-``(time, priority, sequence, event)`` tuples.  An :class:`Event` is a
+The kernel follows the classic event-calendar architecture: events are
+dispatched in ``(time, priority, sequence)`` order.  An :class:`Event` is a
 one-shot latch: it is *triggered* when given a value (or an exception),
-*processed* once the simulator pops it off the calendar and runs its
+*processed* once the simulator takes it off the calendar and runs its
 callbacks.  A :class:`Process` wraps a generator; every value the generator
 yields must be an :class:`Event`, and the process is resumed with the
 event's value (or the event's exception is thrown into the generator) when
 that event is processed.
+
+The calendar is split three ways.  Most entries are *due now* (a
+``succeed``/``fail`` or a zero-delay timeout), and those go to one of two
+FIFOs, URGENT or NORMAL; only entries in the future go to a binary heap of
+``(time, sequence, event)``.  Every heap entry was pushed before the clock
+reached its time, so at any timestamp the old single-heap order is
+reproduced by draining the URGENT FIFO, then the heap entries at ``now``,
+then the NORMAL FIFO.
 
 A :class:`Process` is itself an :class:`Event` that fires when the generator
 terminates, so processes can wait on each other (fork/join) without any
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
@@ -123,7 +132,10 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, 0.0, priority)
+        if priority == NORMAL:  # the hot path, inlined
+            self.sim._normal.append(self)
+        else:
+            self.sim._schedule(self, priority)
         return self
 
     def fail(self, exception: BaseException, *, priority: int = NORMAL) -> "Event":
@@ -139,7 +151,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, 0.0, priority)
+        self.sim._schedule(self, priority)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -148,7 +160,7 @@ class Event:
             return
         self._ok = event._ok
         self._value = event._value
-        self.sim._schedule(self, 0.0, NORMAL)
+        self.sim._normal.append(self)
 
     def defuse(self) -> "Event":
         """Mark a potential failure of this event as intentionally ignored."""
@@ -169,8 +181,8 @@ class Event:
         ``event_count`` tick, and a callback dispatch — the owner cancels
         it.  The calendar entry is skipped silently when it surfaces, and
         the queue is compacted opportunistically when cancelled entries
-        pile up, so dead wake-ups no longer accumulate in
-        ``Simulator._queue``.
+        pile up, so dead wake-ups no longer accumulate in the
+        calendar.
 
         Cancelling an already-processed event is an error; cancelling
         twice is a no-op.  Processes must not wait on a cancelled event
@@ -213,13 +225,24 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
+            raise ValueError(f"invalid delay {delay}")
+        # Event.__init__ inlined: timeouts are the most common event.  A
+        # delay the clock cannot represent (``now + delay == now``) is due
+        # now, where a single (time, priority, seq) heap would put it.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay, NORMAL)
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        now = sim._now
+        at = now + delay
+        if at == now:
+            sim._normal.append(self)
+        else:
+            heapq.heappush(sim._heap, (at, next(sim._seq), self))
 
 
 class Process(Event):
@@ -250,7 +273,7 @@ class Process(Event):
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
-        sim._schedule(init, 0.0, URGENT)
+        sim._urgent.append(init)
 
     @property
     def is_alive(self) -> bool:
@@ -272,17 +295,21 @@ class Process(Event):
         interrupt_evt._value = Interrupted(cause)
         interrupt_evt._defused = True
         interrupt_evt.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_evt, 0.0, URGENT)
+        self.sim._urgent.append(interrupt_evt)
 
     def _resume(self, event: Event) -> None:
-        # Detach from whatever we were officially waiting on (interrupt path).
-        if self._waiting_on is not None and self._waiting_on is not event:
-            try:
-                self._waiting_on.callbacks.remove(self._resume)  # type: ignore[union-attr]
-            except (ValueError, AttributeError):
-                pass
-        self._waiting_on = None
-        self.sim._active_process = self
+        waiting = self._waiting_on
+        if waiting is not None:
+            if waiting is not event:
+                # Detach from the event we were officially waiting on
+                # (interrupt path).
+                try:
+                    waiting.callbacks.remove(self._resume)  # type: ignore[union-attr]
+                except (ValueError, AttributeError):
+                    pass
+            self._waiting_on = None
+        sim = self.sim
+        sim._active_process = self
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -290,30 +317,31 @@ class Process(Event):
                 event._defused = True
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
+            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = None
+            sim._active_process = None
             self.fail(exc)
             return
-        self.sim._active_process = None
+        sim._active_process = None
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must "
                 "yield Event instances"
             )
-        if target.callbacks is None:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already processed: resume immediately at the current time.
-            relay = Event(self.sim)
+            relay = Event(sim)
             relay._ok = target._ok
             relay._value = target._value
             if not target._ok:
                 relay._defused = True
             relay.callbacks.append(self._resume)
-            self.sim._schedule(relay, 0.0, URGENT)
+            sim._urgent.append(relay)
         else:
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             self._waiting_on = target
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -392,7 +420,11 @@ class Simulator:
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Due-now entries, each in scheduling (= sequence) order.
+        self._urgent: deque[Event] = deque()
+        self._normal: deque[Event] = deque()
+        #: Future entries only: ``(time, seq, event)``, all NORMAL.
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._active_process: Process | None = None
         self._event_count = 0
@@ -424,7 +456,7 @@ class Simulator:
     def queue_size(self) -> int:
         """Calendar entries currently scheduled, including cancelled ones
         not yet purged (diagnostics / heap-hygiene tests)."""
-        return len(self._queue)
+        return len(self._urgent) + len(self._normal) + len(self._heap)
 
     @property
     def cancelled_pending(self) -> int:
@@ -481,21 +513,59 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._seq), event)
-        )
+    def _schedule(self, event: Event, priority: int) -> None:
+        """Put a triggered ``event`` on the calendar, due now.
+
+        Only :class:`Timeout` schedules into the future (always at NORMAL
+        priority), and it pushes onto the heap itself.
+        """
+        if priority == URGENT:
+            self._urgent.append(event)
+        elif priority == NORMAL:
+            self._normal.append(event)
+        else:
+            raise ValueError(f"priority must be URGENT or NORMAL, got {priority!r}")
 
     def _note_cancel(self) -> None:
         """Record a cancellation; compact the calendar if dead entries dominate."""
         self._cancel_pending += 1
         if (
             self._cancel_pending > self._COMPACT_MIN_CANCELLED
-            and self._cancel_pending * 2 > len(self._queue)
+            and self._cancel_pending * 2 > self.queue_size
         ):
-            self._queue = [e for e in self._queue if not e[3]._cancelled]
-            heapq.heapify(self._queue)
+            # Compact in place: ``run`` holds the containers in locals.
+            for fifo in (self._urgent, self._normal):
+                live = [e for e in fifo if not e._cancelled]
+                fifo.clear()
+                fifo.extend(live)
+            self._heap[:] = [e for e in self._heap if not e[2]._cancelled]
+            heapq.heapify(self._heap)
             self._cancel_pending = 0
+
+    def _pop(self) -> Event | None:
+        """Take the next live event off the calendar, advancing the clock.
+
+        Cancelled entries met on the way are dropped.  Returns ``None`` once
+        the calendar is empty.  :meth:`run` inlines this loop.
+        """
+        urgent, heap, normal = self._urgent, self._heap, self._normal
+        while True:
+            if urgent:
+                event = urgent.popleft()
+            elif heap and heap[0][0] == self._now:
+                event = heapq.heappop(heap)[2]
+            elif normal:
+                event = normal.popleft()
+            elif heap:
+                time, _seq, event = heapq.heappop(heap)
+                if not event._cancelled:
+                    self._now = time
+            else:
+                return None
+            if event._cancelled:
+                self._cancel_pending -= 1
+                continue
+            return event
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none.
@@ -503,33 +573,43 @@ class Simulator:
         Cancelled entries surfacing at the head of the calendar are purged
         as a side effect.
         """
-        queue = self._queue
-        while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
+        now = self._now
+        urgent, heap, normal = self._urgent, self._heap, self._normal
+        while urgent and urgent[0]._cancelled:
+            urgent.popleft()
             self._cancel_pending -= 1
-        return queue[0][0] if queue else float("inf")
+        if urgent:
+            return now
+        while heap and heap[0][0] == now and heap[0][2]._cancelled:
+            heapq.heappop(heap)
+            self._cancel_pending -= 1
+        if heap and heap[0][0] == now:
+            return now
+        while normal and normal[0]._cancelled:
+            normal.popleft()
+            self._cancel_pending -= 1
+        if normal:
+            return now
+        while heap and heap[0][2]._cancelled:
+            heapq.heappop(heap)
+            self._cancel_pending -= 1
+        return heap[0][0] if heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one (non-cancelled) event.
 
         If end-of-timestamp hooks are pending and the next event lies in
         the future (or the calendar is empty), the hooks run instead.
+        Raises :class:`SimulationError` when there is nothing to do.
         """
-        queue = self._queue
         if self._deferred and self.peek() > self._now:
             self._run_deferred()
             return
-        while True:
-            time, _prio, _seq, event = heapq.heappop(queue)
-            if event._cancelled:
-                self._cancel_pending -= 1
-                if not queue:
-                    return  # calendar held only cancelled entries
-                continue
-            break
-        if time < self._now:  # pragma: no cover - heap guarantees order
-            raise SimulationError("time went backwards")
-        self._now = time
+        if not self.queue_size:
+            raise SimulationError("step() on an empty calendar")
+        event = self._pop()
+        if event is None:
+            return  # calendar held only cancelled entries
         self._event_count += 1
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None
@@ -558,43 +638,47 @@ class Simulator:
             if stop_at < self._now:
                 raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
-        # Hot loop.  This is step()/peek() inlined so each event pays one
-        # heap pop and one head inspection instead of two full peek()
-        # calls plus a method dispatch.  ``self._queue`` must be re-read
-        # every iteration: a callback may cancel events and trigger
-        # _note_cancel() compaction, which REPLACES the queue list.
+        # Hot loop: _pop() and step() inlined.  The containers may be held
+        # in locals because _note_cancel() compacts them in place; the
+        # clock is cached in ``now`` because only this loop moves it.
+        urgent, heap, normal = self._urgent, self._heap, self._normal
         heappop = heapq.heappop
-        inf = float("inf")
-        while self._queue or self._deferred:
+        now = self._now
+        while True:
             if stop_event is not None and stop_event.callbacks is None:
                 break
-            queue = self._queue
-            # Purge cancelled entries surfacing at the head (peek()).
-            while queue and queue[0][3]._cancelled:
-                heappop(queue)
+            if urgent:
+                event = urgent.popleft()
+            elif heap and heap[0][0] == now:
+                event = heappop(heap)[2]
+            elif normal:
+                event = normal.popleft()
+            else:
+                # The current timestamp is quiescent.  Purge cancelled
+                # entries at the head first, as peek() would.
+                while heap and heap[0][2]._cancelled:
+                    heappop(heap)
+                    self._cancel_pending -= 1
+                if self._deferred:
+                    # Run end-of-timestamp hooks before the clock moves
+                    # (they may schedule events).
+                    self._run_deferred()
+                    continue
+                if not heap or heap[0][0] > stop_at:
+                    if stop_at != float("inf"):
+                        self._now = stop_at
+                    break
+                time, _seq, event = heappop(heap)
+                self._now = now = time
+            if event._cancelled:
                 self._cancel_pending -= 1
-            nxt = queue[0][0] if queue else inf
-            if self._deferred and nxt > self._now:
-                # The current timestamp is quiescent: run end-of-timestamp
-                # hooks before the clock moves (they may schedule events).
-                self._run_deferred()
                 continue
-            if nxt > stop_at:
-                self._now = stop_at
-                break
-            if not queue:
-                break  # calendar emptied by the cancelled-entry purge
-            time, _prio, _seq, event = heappop(queue)
-            self._now = time
             self._event_count += 1
             callbacks, event.callbacks = event.callbacks, None
             for fn in callbacks:  # type: ignore[union-attr]
                 fn(event)
             if not event._ok and not event._defused:
                 raise event._value
-        else:
-            if stop_at != float("inf"):
-                self._now = stop_at
 
         if stop_event is not None:
             if not stop_event.processed:

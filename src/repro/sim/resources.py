@@ -283,16 +283,17 @@ class Store:
                 evt.succeed(item, priority=URGENT)
                 progress = True
             # Scan getters; FilterStore may skip some.
-            pending: deque[Event] = deque()
-            while self._gets:
-                getter = self._gets.popleft()
-                matched, item = self._take(getter)
-                if matched:
-                    getter.succeed(item, priority=URGENT)
-                    progress = True
-                else:
-                    pending.append(getter)
-            self._gets = pending
+            if self._gets:
+                pending: deque[Event] = deque()
+                while self._gets:
+                    getter = self._gets.popleft()
+                    matched, item = self._take(getter)
+                    if matched:
+                        getter.succeed(item, priority=URGENT)
+                        progress = True
+                    else:
+                        pending.append(getter)
+                self._gets = pending
             if not self.items and not self._puts:
                 break
 

@@ -1,7 +1,7 @@
 """Block-device models with a serial request queue.
 
 Each :class:`DiskDevice` services one request at a time from a priority
-queue (the elevator is abstracted to a *stream-switch* seek penalty: when
+queue, FIFO among equal priorities (the elevator is abstracted to a *stream-switch* seek penalty: when
 the device alternates between independent sequential streams — a map task
 spilling while a servlet reads another map's output — every switch costs a
 seek + half-rotation, which is what collapses HDD throughput under
@@ -14,13 +14,13 @@ instead of convoying behind whole-file operations.
 
 from __future__ import annotations
 
-from collections.abc import Generator
-from dataclasses import dataclass, field, replace
+import heapq
+import itertools
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.sim.core import Event, Simulator
+from repro.sim.core import URGENT, Event, Simulator
 from repro.sim.monitor import UtilizationTracker
-from repro.sim.resources import PriorityStore
 
 __all__ = [
     "DiskDevice",
@@ -72,25 +72,36 @@ def disk_by_name(name: str) -> DiskSpec:
     return spec
 
 
-@dataclass(order=True)
 class _DiskRequest:
-    # Only ``priority`` participates in ordering; PriorityStore adds a FIFO
-    # tiebreak for equal priorities.
-    priority: float
-    stream_id: str = field(default="", compare=False)
-    nbytes: float = field(default=0.0, compare=False)
-    kind: str = field(default="read", compare=False)  # "read" | "write"
-    done: Event | None = field(default=None, compare=False)
+    __slots__ = ("stream_id", "nbytes", "kind", "done")
+
+    def __init__(self, stream_id: str, nbytes: float, kind: str, done: Event):
+        self.stream_id = stream_id
+        self.nbytes = nbytes
+        self.kind = kind  # "read" | "write"
+        self.done = done
 
 
 class DiskDevice:
-    """A single drive with a serial, priority-ordered request queue."""
+    """A single drive with a serial, priority-ordered request queue.
+
+    The server is two callbacks rather than a process.  A request that
+    finds the drive idle is taken at once and begins service on an URGENT
+    *start* event, so it starts after URGENT work already queued at that
+    timestamp; a finished request's completion callback succeeds its
+    ``done`` event and takes the next request from a ``(priority, seq)``
+    heap.
+    """
 
     def __init__(self, sim: Simulator, spec: DiskSpec, name: str = ""):
         self.sim = sim
         self.spec = spec
         self.name = name or spec.name
-        self._queue: PriorityStore = PriorityStore(sim, name=f"{self.name}.q")
+        #: Waiting requests as ``(priority, seq, request)``; excludes the
+        #: request taken for service.
+        self._waiting: list[tuple[float, int, _DiskRequest]] = []
+        self._seq = itertools.count()
+        self._busy = False
         self._last_stream: str | None = None
         self.utilization = UtilizationTracker(sim, self.name)
         self.bytes_read = 0.0
@@ -102,7 +113,6 @@ class DiskDevice:
         self.faults = None
         self.fault_node = ""
         self.fault_index = -1
-        sim.process(self._server(), name=f"disk:{self.name}")
 
     # -- public API ---------------------------------------------------------
 
@@ -115,10 +125,11 @@ class DiskDevice:
         if nbytes < 0:
             raise ValueError(f"negative request size {nbytes}")
         done = Event(self.sim)
-        req = _DiskRequest(
-            priority=priority, stream_id=stream_id, nbytes=nbytes, kind=kind, done=done
-        )
-        self._queue.put(req)
+        req = _DiskRequest(stream_id, nbytes, kind, done)
+        if self._busy:
+            heapq.heappush(self._waiting, (priority, next(self._seq), req))
+        else:
+            self._take(req)
         return done
 
     def read(self, nbytes: float, stream_id: str, priority: float = 0.0) -> Event:
@@ -129,7 +140,8 @@ class DiskDevice:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        """Requests waiting for the drive, not counting the one in service."""
+        return len(self._waiting)
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Flat view for :class:`repro.obs.registry.MetricsRegistry`."""
@@ -157,16 +169,29 @@ class DiskDevice:
             t *= self.faults.disk_factor(self.fault_node, self.fault_index)
         return t
 
-    def _server(self) -> Generator[Event, Any, None]:
-        while True:
-            req: _DiskRequest = yield self._queue.get()
-            self.utilization.acquire()
-            yield self.sim.timeout(self._service_time(req))
-            self.utilization.release()
-            self.requests += 1
-            if req.kind == "read":
-                self.bytes_read += req.nbytes
-            else:
-                self.bytes_written += req.nbytes
-            assert req.done is not None
-            req.done.succeed(req.nbytes)
+    def _take(self, req: _DiskRequest) -> None:
+        """Claim the drive for ``req``; service begins on an URGENT event."""
+        self._busy = True
+        start = Event(self.sim)
+        start.callbacks.append(self._start)  # type: ignore[union-attr]
+        start.succeed(req, priority=URGENT)
+
+    def _start(self, event: Event) -> None:
+        req: _DiskRequest = event._value
+        self.utilization.acquire()
+        service = self.sim.timeout(self._service_time(req), req)
+        service.callbacks.append(self._complete)  # type: ignore[union-attr]
+
+    def _complete(self, event: Event) -> None:
+        req: _DiskRequest = event._value
+        self.utilization.release()
+        self.requests += 1
+        if req.kind == "read":
+            self.bytes_read += req.nbytes
+        else:
+            self.bytes_written += req.nbytes
+        req.done.succeed(req.nbytes)
+        if self._waiting:
+            self._take(heapq.heappop(self._waiting)[2])
+        else:
+            self._busy = False

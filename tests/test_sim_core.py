@@ -365,3 +365,35 @@ def test_callback_after_processed_runs_immediately():
     hits = []
     t.add_callback(lambda e: hits.append(e.value))
     assert hits == [None]
+
+
+def test_step_on_empty_calendar_raises_simulation_error():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="empty calendar"):
+        sim.step()
+    sim.timeout(1)
+    sim.step()
+    assert sim.now == 1
+    with pytest.raises(SimulationError, match="empty calendar"):
+        sim.step()
+
+
+def test_step_skips_a_calendar_of_only_cancelled_entries():
+    sim = Simulator()
+    sim.timeout(1).cancel()
+    sim.step()
+    assert (sim.now, sim.event_count, sim.queue_size) == (0.0, 0, 0)
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0, float("-inf")])
+def test_timeout_rejects_nan_and_negative_delays(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(delay)
+    assert sim.queue_size == 0
+
+
+def test_succeed_rejects_unknown_priority():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.event().succeed(priority=2)

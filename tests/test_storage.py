@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.core import NORMAL, URGENT
 from repro.storage import (
     HDD_160GB,
     SSD_SATA,
@@ -115,6 +116,99 @@ def test_disk_accounting():
     assert disk.bytes_written == 2 * MB
     assert disk.requests == 2
     assert 0 < disk.utilization.utilization() <= 1
+
+
+def _service(spec, kind, nbytes, seek):
+    bw = spec.read_bw if kind == "read" else spec.write_bw
+    t = spec.per_request_overhead + nbytes / bw
+    return t + spec.seek_time if seek else t
+
+
+def test_disk_is_not_a_process():
+    sim = Simulator()
+    DiskDevice(sim, HDD_160GB)
+    assert sim.queue_size == 0
+    sim.run()
+    assert sim.event_count == 0
+
+
+def test_equal_priorities_are_served_fifo():
+    sim = Simulator()
+    disk = DiskDevice(sim, HDD_160GB)
+    order = []
+    for name in ["a", "b", "c", "d"]:
+        disk.read(1 * MB, name).add_callback(lambda e, n=name: order.append(n))
+    sim.run()
+    assert order == ["a", "b", "c", "d"]
+
+
+def test_requests_submitted_before_run_are_served():
+    sim = Simulator()
+    disk = DiskDevice(sim, HDD_160GB)
+    done = [disk.write(2 * MB, f"s{i}", priority=i % 2) for i in range(5)]
+    sim.run()
+    assert all(d.processed and d.value == 2 * MB for d in done)
+    assert disk.requests == 5 and disk.bytes_written == 10 * MB
+
+
+def test_idle_submit_starts_after_queued_urgent_work():
+    """Service begins on an URGENT event queued at submission time."""
+    sim = Simulator()
+    disk = DiskDevice(sim, HDD_160GB)
+    seen = []
+
+    def probe(label, priority):
+        evt = sim.event()
+        evt.callbacks.append(lambda e: seen.append((label, disk.seeks)))
+        evt.succeed(priority=priority)
+
+    def at_one(_event):
+        probe("normal-before", NORMAL)
+        probe("urgent-before", URGENT)
+        disk.read(1 * MB, "s")
+        probe("urgent-after", URGENT)
+
+    sim.timeout(1.0).callbacks.append(at_one)
+    sim.run()
+    assert seen == [
+        ("urgent-before", 0),
+        ("urgent-after", 1),
+        ("normal-before", 1),
+    ]
+
+
+def test_queue_depth_excludes_request_in_service():
+    sim = Simulator()
+    disk = DiskDevice(sim, HDD_160GB)
+    first = disk.read(1 * MB, "a")
+    assert disk.queue_depth == 0
+    disk.read(1 * MB, "b")
+    disk.read(1 * MB, "c")
+    assert disk.queue_depth == 2
+    sim.run(first)
+    assert disk.queue_depth == 1
+    sim.run()
+    assert disk.queue_depth == 0
+
+
+def test_disk_accounting_and_timing_are_exact():
+    sim = Simulator()
+    disk = DiskDevice(sim, HDD_160GB)
+    plan = [("read", 3 * MB, "a"), ("write", 2 * MB, "b"), ("read", 1 * MB, "b")]
+    finish = []
+    for kind, nbytes, stream in plan:
+        disk.submit(kind, nbytes, stream).add_callback(
+            lambda e: finish.append(sim.now)
+        )
+    sim.run()
+    expected, t = [], 0.0
+    for (kind, nbytes, _), seek in zip(plan, [True, True, False]):
+        t += _service(HDD_160GB, kind, nbytes, seek)
+        expected.append(t)
+    assert finish == expected
+    assert (disk.requests, disk.seeks) == (3, 2)
+    assert (disk.bytes_read, disk.bytes_written) == (4 * MB, 2 * MB)
+    assert disk.utilization.busy_time == pytest.approx(expected[-1])
 
 
 def test_invalid_requests():

@@ -176,3 +176,65 @@ def test_cross_validation_against_kway_merger():
     # Converged: the last rounds track ground truth tightly.
     assert errors[-1] <= 0.02
     assert errors[-2] <= 0.10
+
+
+class _UnmemoisedMerger(VirtualMerger):
+    """Recomputes :meth:`bottlenecks` on every call (the memo's oracle)."""
+
+    def bottlenecks(self, k: int = 1):
+        self._bottlenecks_memo = None
+        return super().bottlenecks(k)
+
+
+_merger_op = st.one_of(
+    st.tuples(
+        st.just("feed"),
+        st.integers(0, 5),
+        # Sub-_EPS coverage steps (1e-7 of 1e3 bytes), ordinary ones, and
+        # whole-run deliveries.
+        st.sampled_from((0.0, 1e-7, 5e-7, 1.0, 37.5, 250.0, 1e3)),
+    ),
+    st.tuples(st.just("bottlenecks"), st.integers(1, 4)),
+    st.tuples(st.just("bottlenecks"), st.integers(1, 4)),
+    st.tuples(st.just("frontier")),
+    st.tuples(st.just("drain"), st.sampled_from((None, 10.0, 1e3))),
+)
+
+
+@given(
+    totals=st.lists(st.sampled_from((0.0, 1e3, 2.5e2)), min_size=1, max_size=6),
+    declare_at=st.integers(0, 6),
+    ops=st.lists(_merger_op, max_size=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_memoised_bottlenecks_match_recomputation(totals, declare_at, ops):
+    mergers = [VirtualMerger(expected_runs=len(totals)), _UnmemoisedMerger(len(totals))]
+    pending = list(enumerate(totals))
+    for step, op in enumerate(ops):
+        if pending and step >= declare_at:
+            run_id, total = pending.pop(0)
+            for vm in mergers:
+                vm.add_run(run_id, total)
+        results = []
+        for vm in mergers:
+            kind = op[0]
+            if kind == "feed":
+                run_id = op[1] % len(totals)
+                if run_id not in vm._runs:
+                    results.append(None)
+                    continue
+                vm.feed(run_id, op[2])
+                results.append(vm.coverage(run_id))
+            elif kind == "bottlenecks":
+                out = vm.bottlenecks(op[1])
+                results.append(list(out))
+                out.append("caller-owned")  # must not leak into the memo
+            elif kind == "frontier":
+                results.append(vm.frontier())
+            else:
+                results.append(vm.drain(op[1]))
+        assert results[0] == results[1], (step, op)
+    memo, plain = mergers
+    assert memo.bottlenecks(6) == plain.bottlenecks(6)
+    assert memo.frontier() == plain.frontier()
+    assert memo.emitted_bytes == plain.emitted_bytes
