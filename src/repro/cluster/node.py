@@ -69,7 +69,7 @@ class Node:
         """RAM available to task heaps and the prefetch cache."""
         return max(0.0, self.spec.ram_bytes - self.spec.os_reserve_bytes)
 
-    def compute(self, seconds: float, priority: float = 0.0):
+    def compute(self, seconds: float):
         """Generator: hold one core for ``seconds`` of nominal work.
 
         Stragglers (``cpu_speed < 1``) take proportionally longer, as do
@@ -77,7 +77,7 @@ class Node:
         piecewise, so a compute spanning a window edge pays exactly the
         degraded portion).
         """
-        with self.cpu.request(priority) as req:
+        with self.cpu.request() as req:
             yield req
             if seconds > 0:
                 delay = seconds / self.spec.cpu_speed

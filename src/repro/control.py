@@ -143,18 +143,16 @@ class ControlPlane:
         reduce_id: int,
         tt_name: str,
         consumer: "ShuffleConsumer",
-        migratable: bool = True,
     ) -> Event | None:
         """Register a freshly launched reduce attempt.
 
         Returns the migrate event the wrapper must race the attempt
-        against, or None when migration cannot apply (no fault plan, or
-        migration disabled).
+        against, or None when migration cannot apply (no fault plan, no
+        integrity layer, or migration disabled).
         """
         migrate = None
         if (
-            migratable
-            and self.migrate_enabled
+            self.migrate_enabled
             and self.ctx.integrity is not None
             and self.ctx.faults is not None
         ):

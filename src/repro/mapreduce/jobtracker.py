@@ -4,8 +4,8 @@ Scheduling reproduces 0.20.2 behaviour at the fidelity the experiments
 need: fixed map/reduce slots per TaskTracker, locality-preferring greedy
 map assignment (with 3-way replicated input, locality is near-total),
 reducers launched once ``mapred.reduce.slowstart.completed.maps`` of the
-maps have finished, and no speculative execution (the paper's tuned
-setup).
+maps have finished, and speculative execution off unless a
+``speculative_*`` knob asks for it (the paper's tuned setup).
 """
 
 from __future__ import annotations
@@ -58,13 +58,11 @@ class JobTracker:
         self._speculated: set[int] = set()
         # Reduce-side speculation: commit-once registry, per-reduce attempt
         # id allocator (ids stay unique across concurrent racing wrappers),
-        # and the kill channels a committing winner fires — wrapper
-        # processes in the plain path, lose events in the faulted path
-        # (whose wrappers park on a race and must not be interrupted).
+        # and the live attempts' lose events, which a committing winner
+        # fires (wrappers park on a race and are never interrupted for it).
         self._reduce_committed: set[int] = set()
         self._reduce_speculated: set[int] = set()
         self._reduce_attempt_seq: dict[int, int] = {}
-        self._reduce_attempt_procs: dict[int, list[Any]] = {}
         self._reduce_lose: dict[int, list[Event]] = {}
         self._spec_reduce_procs: list[Any] = []
         self._consumer_cls: type | None = None
@@ -371,9 +369,6 @@ class JobTracker:
             procs[id(proc)] = proc
         for proc in self._reduce_wrapper_procs:
             procs[id(proc)] = proc
-        for plist in self._reduce_attempt_procs.values():
-            for proc in plist:
-                procs[id(proc)] = proc
         for proc in self._spec_reduce_procs:
             procs[id(proc)] = proc
         live = []
@@ -419,7 +414,6 @@ class JobTracker:
         self._attempts = {}
         self._speculated = set()
         self._reduce_speculated = set()
-        self._reduce_attempt_procs = {}
         self._reduce_lose = {}
         self._spec_reduce_procs = []
         self._reexec_pending = set()
@@ -787,7 +781,7 @@ class JobTracker:
 
         The backup goes through the ordinary reduce wrapper (acquiring its
         own slot), races the original, and whichever attempt commits first
-        wins; ``_commit_reduce`` kills the loser.
+        wins; ``_commit_reduce`` fires the loser's lose event.
         """
         ctx = self.ctx
         conf = ctx.conf
@@ -900,22 +894,34 @@ class JobTracker:
             )
         return n
 
+    def _reduce_span(
+        self, tt: TaskTracker, reduce_id: int, attempt: int, started: float,
+        **status: bool,
+    ) -> None:
+        """Record one reduce attempt's task span, ending now."""
+        from repro.tools.timeline import TaskSpan
+
+        self.ctx.spans.append(
+            TaskSpan(
+                "reduce", reduce_id, attempt, tt.name, started, self.sim.now,
+                **status,
+            )
+        )
+
     def _commit_reduce(
         self, consumer: Any, tt: TaskTracker, reduce_id: int, attempt: int,
         started: float,
-    ) -> bool:
+    ) -> None:
         """Commit-once for reduce output: first finisher wins.
 
         Records the span, counters and completion timestamp for the
         winning attempt and kills any racing siblings; a finisher that
-        arrives second is torn down as a loser instead (False).
+        arrives second is torn down as a loser instead.
         """
-        from repro.tools.timeline import TaskSpan
-
         ctx = self.ctx
         if reduce_id in self._reduce_committed:
             self._teardown_losing_reduce(consumer, tt, reduce_id, attempt, started)
-            return False
+            return
         if ctx.journal is not None and not ctx.journal.commit_reduce(
             self.epoch, reduce_id, attempt, consumer.bytes_reduced, tt.name
         ):
@@ -924,11 +930,9 @@ class JobTracker:
             # commit authority, so this finisher is torn down as a loser.
             ctx.counters.add("reduce.commit_rejected", 1)
             self._teardown_losing_reduce(consumer, tt, reduce_id, attempt, started)
-            return False
+            return
         self._reduce_committed.add(reduce_id)
-        ctx.spans.append(
-            TaskSpan("reduce", reduce_id, attempt, tt.name, started, self.sim.now)
-        )
+        self._reduce_span(tt, reduce_id, attempt, started)
         ctx.counters.add("reduce.completed", 1)
         if ctx.faults is not None or ctx.conf.speculative_reduces:
             # Bytes that made it into the *committed* output — unlike
@@ -941,22 +945,16 @@ class JobTracker:
             ctx.speculation.note_win("reduce", reduce_id, tt.name)
         self._kill_losing_reduce_attempts(reduce_id)
         self._reduce_done_times.append(self.sim.now)
-        return True
 
     def _kill_losing_reduce_attempts(self, reduce_id: int) -> None:
         """Signal every racing sibling attempt that the race is over.
 
-        Plain-path wrappers are interrupted directly; faulted-path
-        wrappers (parked on a crash/migrate race) get their per-attempt
-        lose event fired and unwind themselves.
+        Each live attempt races its consumer against its own lose event;
+        firing it lets the sibling unwind itself as a killed loser.
         """
         for ev in self._reduce_lose.get(reduce_id, []):
             if not ev.triggered:
                 ev.succeed("lost speculative race")
-        me = self.sim.active_process
-        for proc in self._reduce_attempt_procs.get(reduce_id, []):
-            if proc is not me and proc.is_alive:
-                proc.interrupt("lost speculative race")
 
     def _teardown_losing_reduce(
         self, consumer: Any, tt: TaskTracker, reduce_id: int, attempt: int,
@@ -969,15 +967,8 @@ class JobTracker:
         from HDFS, and the wasted bytes are settled against the
         speculation ledger.
         """
-        from repro.tools.timeline import TaskSpan
-
         ctx = self.ctx
-        ctx.spans.append(
-            TaskSpan(
-                "reduce", reduce_id, attempt, tt.name, started, self.sim.now,
-                ok=False, killed=True,
-            )
-        )
+        self._reduce_span(tt, reduce_id, attempt, started, ok=False, killed=True)
         if consumer is None:
             # Killed before the consumer existed: nothing was written.
             if ctx.speculation is not None:
@@ -1008,21 +999,15 @@ class JobTracker:
         """
         from repro.mapreduce.maptask import TaskFailure
         from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
 
         ctx = self.ctx
         if race_ev is not None:
-            # Detach the abandoned crash/migrate race from its children:
-            # our interrupt already detached the waiter, and a child
-            # failing into a waiterless condition would crash the kernel.
+            # Detach the abandoned race from its children: our interrupt
+            # already detached the waiter, and a child failing into a
+            # waiterless condition would crash the kernel.
             race_ev.defuse()
         if attempt is not None:
-            ctx.spans.append(
-                TaskSpan(
-                    "reduce", reduce_id, attempt, tt.name, started, self.sim.now,
-                    ok=False, killed=True,
-                )
-            )
+            self._reduce_span(tt, reduce_id, attempt, started, ok=False, killed=True)
         ctx.counters.add("reduce.master_lost", 1)
         if consumer is None:
             return
@@ -1045,112 +1030,25 @@ class JobTracker:
     def _reduce_wrapper(
         self, tt: TaskTracker, reduce_id: int, consumer_cls: type
     ) -> Generator[Event, Any, None]:
-        from repro.mapreduce.maptask import TaskFailure
-        from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
+        """The reduce-task lifecycle, for originals and speculative backups.
 
-        ctx = self.ctx
-        if ctx.faults is not None:
-            yield from self._reduce_wrapper_faulted(tt, reduce_id, consumer_cls)
-            return
-        spec = ctx.speculation
-        if spec is not None:
-            # Racing wrappers (original + speculative backup) register so a
-            # committing winner can interrupt its still-running sibling.
-            self._reduce_attempt_procs.setdefault(reduce_id, []).append(
-                self.sim.active_process
-            )
-        failed_attempts = 0
-        with tt.reduce_slots.request() as slot:
-            try:
-                yield slot
-            except Interrupted:
-                # Killed while queued for a slot: no attempt ever started,
-                # so there is nothing to record or tear down.
-                return
-            while failed_attempts < ctx.conf.max_task_attempts:
-                if reduce_id in self._reduce_committed:
-                    return  # a racing sibling committed while we retried
-                attempt = self._alloc_reduce_attempt(reduce_id)
-                started = self.sim.now
-                consumer = None
-                try:
-                    yield from tt.node.compute(
-                        ctx.conf.costs.task_startup
-                        * ctx.jitter(f"redstart-{reduce_id}-a{attempt}")
-                    )
-                    consumer = consumer_cls(ctx, tt, reduce_id, attempt)
-                    if ctx.control is not None:
-                        # Fault-free runs still get per-reducer retuning;
-                        # migration needs the faulted wrapper's kill path.
-                        ctx.control.track_attempt(
-                            reduce_id, tt.name, consumer, migratable=False
-                        )
-                    if spec is not None:
-                        spec.track(
-                            "reduce", reduce_id, attempt, tt.name,
-                            poll=consumer.progress,
-                        )
-                    yield from consumer.run()
-                    self._commit_reduce(consumer, tt, reduce_id, attempt, started)
-                    return
-                except TaskFailure:
-                    ctx.spans.append(
-                        TaskSpan(
-                            "reduce",
-                            reduce_id,
-                            attempt,
-                            tt.name,
-                            started,
-                            self.sim.now,
-                            ok=False,
-                        )
-                    )
-                    failed_attempts += 1
-                    continue
-                except Interrupted:
-                    # The sibling speculative attempt committed first.
-                    # Killed, not failed: it doesn't burn the attempt
-                    # budget, and its partial output is unlinked.
-                    self._teardown_losing_reduce(
-                        consumer, tt, reduce_id, attempt, started
-                    )
-                    return
-                finally:
-                    if ctx.control is not None:
-                        ctx.control.untrack_attempt(reduce_id)
-                    if spec is not None and consumer is not None:
-                        spec.untrack("reduce", reduce_id, attempt, tt.name)
-            raise RuntimeError(
-                f"reduce {reduce_id} exceeded "
-                f"{ctx.conf.max_task_attempts} attempts"
-            )
-
-    def _reduce_wrapper_faulted(
-        self, tt: TaskTracker, reduce_id: int, consumer_cls: type
-    ) -> Generator[Event, Any, None]:
-        """Reduce lifecycle under fault injection.
-
-        Differences from the plain wrapper: the slot is re-acquired per
-        attempt (an attempt whose node crashed moves to a healthy
-        TaskTracker), and each attempt races the consumer against its
-        node's crash event — and, under the control plane, against a
-        controller-fired migrate event (the tracker crossed the
-        quarantine threshold mid-job).  A crash or a migration *kills*
-        the attempt (Hadoop semantics: killed, not failed — it doesn't
-        count toward max_task_attempts); a TaskFailure burns an attempt
-        as usual.
+        The slot is taken per attempt, so an attempt whose node crashed
+        moves to a healthy TaskTracker.  Each attempt races its consumer
+        against the events that can end it early (the race arms): its
+        node's crash event under a fault plan, a controller-fired migrate
+        event (the tracker crossed the quarantine threshold mid-job), and,
+        with speculative reduces, a per-attempt lose event that a
+        committing sibling fires.  A crash, a migration or a lost race
+        *kills* the attempt (Hadoop semantics: killed, not failed — it
+        doesn't count toward max_task_attempts); a TaskFailure burns an
+        attempt as usual.  With no arm the consumer runs inline.
         """
         from repro.mapreduce.maptask import TaskFailure
         from repro.sim.core import Interrupted
-        from repro.tools.timeline import TaskSpan
 
         ctx = self.ctx
         faults = ctx.faults
         spec = ctx.speculation
-        # Faulted wrappers park on a race (crash/migrate events) and must
-        # not be interrupt()ed mid-race; a committing sibling signals them
-        # through a per-attempt "lose" event added to that race instead.
         speculating = spec is not None and ctx.conf.speculative_reduces
         failed_attempts = 0
         relocate = False
@@ -1167,7 +1065,7 @@ class JobTracker:
                     f"reduce {reduce_id} exceeded "
                     f"{ctx.conf.max_task_attempts} attempts"
                 )
-            if relocate or faults.node_dead(tt.name):
+            if relocate or (faults is not None and faults.node_dead(tt.name)):
                 tt = self._pick_reduce_tracker(reduce_id)
                 relocate = False
             slot = tt.reduce_slots.request()
@@ -1184,7 +1082,7 @@ class JobTracker:
             race_ev = None
             started = self.sim.now
             try:
-                if faults.node_dead(tt.name):
+                if faults is not None and faults.node_dead(tt.name):
                     continue  # crashed while we queued; move elsewhere
                 if reduce_id in self._reduce_committed:
                     return  # a racing sibling committed while we queued
@@ -1214,31 +1112,28 @@ class JobTracker:
                         "reduce", reduce_id, attempt, tt.name,
                         poll=consumer.progress,
                     )
-                run_proc = self.sim.process(
-                    consumer.run(), name=f"r{reduce_id}-attempt{attempt}"
-                )
-                crash = faults.crash_event(tt.name)
-                race = [run_proc, crash]
-                if migrate is not None:
-                    race.append(migrate)
-                if lose is not None:
-                    race.append(lose)
-                race_ev = self.sim.any_of(race)
+                arms = [ev for ev in (migrate, lose) if ev is not None]
                 try:
-                    yield race_ev
+                    if faults is None and not arms:
+                        # Nothing can end the attempt early: run inline.
+                        yield from consumer.run()
+                    else:
+                        run_proc = self.sim.process(
+                            consumer.run(), name=f"r{reduce_id}-attempt{attempt}"
+                        )
+                        if faults is not None:
+                            arms.insert(0, faults.crash_event(tt.name))
+                        race_ev = self.sim.any_of([run_proc, *arms])
+                        yield race_ev
                 except TaskFailure:
                     # The consumer died first (injected reduce failure or
-                    # its own node lost mid-fetch).
+                    # its own node lost mid-fetch).  Its fetchers may still
+                    # be running: tear them down with the attempt.
                     consumer.cancel()
-                    ctx.spans.append(
-                        TaskSpan(
-                            "reduce", reduce_id, attempt, tt.name,
-                            started, self.sim.now, ok=False,
-                        )
-                    )
+                    self._reduce_span(tt, reduce_id, attempt, started, ok=False)
                     failed_attempts += 1
                     continue
-                if run_proc.is_alive:
+                if run_proc is not None and run_proc.is_alive:
                     # The node crashed mid-attempt, the controller
                     # evacuated this reducer off a freshly quarantined
                     # tracker — or a speculative sibling committed first.
@@ -1280,39 +1175,29 @@ class JobTracker:
                             relocate = True
                         else:
                             ctx.counters.add("reduce.node_lost", 1)
-                        ctx.spans.append(
-                            TaskSpan(
-                                "reduce", reduce_id, attempt, tt.name,
-                                started, self.sim.now, ok=False, killed=True,
-                            )
+                        self._reduce_span(
+                            tt, reduce_id, attempt, started, ok=False, killed=True
                         )
                         continue  # fresh attempt id, not a *failed* one
-                elif not run_proc.ok:
+                elif run_proc is not None and not run_proc.ok:
                     # The consumer failed in the same timestamp the crash
                     # (or another event) fired; classify its exception.
                     exc = run_proc.value
                     consumer.cancel()
                     if isinstance(exc, TaskFailure):
-                        ctx.spans.append(
-                            TaskSpan(
-                                "reduce", reduce_id, attempt, tt.name,
-                                started, self.sim.now, ok=False,
-                            )
-                        )
+                        self._reduce_span(tt, reduce_id, attempt, started, ok=False)
                         failed_attempts += 1
                         continue
                     if isinstance(exc, Interrupted):
-                        ctx.spans.append(
-                            TaskSpan(
-                                "reduce", reduce_id, attempt, tt.name,
-                                started, self.sim.now, ok=False, killed=True,
-                            )
+                        self._reduce_span(
+                            tt, reduce_id, attempt, started, ok=False, killed=True
                         )
                         ctx.counters.add("reduce.node_lost", 1)
                         continue
                     raise exc
-                if not self._commit_reduce(consumer, tt, reduce_id, attempt, started):
-                    return  # lost the race by a nose; torn down as loser
+                # A finisher that lost the race by a nose is torn down
+                # as a loser inside.
+                self._commit_reduce(consumer, tt, reduce_id, attempt, started)
                 return
             except Interrupted:
                 # Master crash mid-attempt (startup compute or parked on

@@ -3,15 +3,14 @@
 Before this existed, the stats a run produced were scattered: the
 ``Counter`` bag on :class:`~repro.mapreduce.context.JobContext`, each RDMA
 provider's :class:`~repro.core.cache.CacheStats`, the per-disk
-:class:`~repro.sim.monitor.UtilizationTracker`, ad-hoc ``Monitor`` series.
-The registry federates them: sources register once under a dotted
-namespace and :meth:`MetricsRegistry.collect` snapshots everything into a
-flat ``{"cache.node00.hits": 3.0, ...}`` mapping (or a nested ``tree()``).
+:class:`~repro.sim.monitor.UtilizationTracker`.  The registry federates
+them: sources register once under a dotted namespace and
+:meth:`MetricsRegistry.collect` snapshots everything into a flat ``{"cache.node00.hits": 3.0, ...}`` mapping (or a nested ``tree()``).
 
 A source is anything that can produce a mapping of metric name -> value:
 
 * an object with a ``metrics_snapshot()`` method (``Counter``,
-  ``Monitor``, ``UtilizationTracker``, ``CacheStats``, ``DiskDevice``);
+  ``UtilizationTracker``, ``CacheStats``, ``DiskDevice``);
 * a plain mapping (snapshotted as-is);
 * a zero-argument callable returning a mapping (evaluated lazily at
   collect time, so late-bound values are current).

@@ -11,12 +11,11 @@ Public surface:
 * :class:`Simulator` — event loop and virtual clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — waitable primitives.
 * :class:`AllOf`, :class:`AnyOf` — composite conditions.
-* :class:`Resource`, :class:`PriorityResource` — counted resources (CPU
-  cores, task slots).
+* :class:`Resource` — counted resource (CPU cores, task slots).
 * :class:`Container` — continuous quantity (memory bytes, buffer credits).
-* :class:`Store`, :class:`PriorityStore`, :class:`FilterStore` — object
-  queues (request queues, mailboxes).
-* :class:`repro.sim.monitor.Monitor` and friends — time-series statistics.
+* :class:`Store`, :class:`PriorityStore` — object queues (request queues,
+  mailboxes).
+* :class:`Counter`, :class:`UtilizationTracker` — run statistics.
 """
 
 from repro.sim.core import (
@@ -29,15 +28,8 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.monitor import Counter, Monitor, UtilizationTracker
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim.monitor import Counter, UtilizationTracker
+from repro.sim.resources import Container, PriorityStore, Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -46,10 +38,7 @@ __all__ = [
     "Container",
     "Counter",
     "Event",
-    "FilterStore",
     "Interrupted",
-    "Monitor",
-    "PriorityResource",
     "PriorityStore",
     "Process",
     "RandomStreams",

@@ -4,13 +4,10 @@ These model the contended components of a Hadoop node:
 
 * :class:`Resource` — a counted resource with FIFO queueing (CPU cores,
   map/reduce slots, HTTP servlet threads, RDMA responder threads).
-* :class:`PriorityResource` — same, but requests carry a priority (disk
-  queues that favour foreground reads over background spills, etc.).
 * :class:`Container` — a continuous quantity with blocking put/get (heap
   bytes for shuffle buffers, PrefetchCache capacity).
-* :class:`Store` / :class:`PriorityStore` / :class:`FilterStore` — object
-  queues (DataRequestQueue, DataToMergeQueue, DataToReduceQueue,
-  mailboxes keyed by a predicate).
+* :class:`Store` / :class:`PriorityStore` — object queues
+  (DataRequestQueue, DataToMergeQueue, DataToReduceQueue).
 
 All acquisition methods return events; processes ``yield`` them.  Resource
 requests are context managers so the canonical pattern is::
@@ -25,31 +22,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from collections.abc import Callable
 from typing import Any
 
 from repro.sim.core import URGENT, Event, SimulationError, Simulator
 
-__all__ = [
-    "Container",
-    "FilterStore",
-    "PriorityResource",
-    "PriorityStore",
-    "Resource",
-    "Store",
-]
+__all__ = ["Container", "PriorityStore", "Resource", "Store"]
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource` (context manager)."""
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.sim)
         self.resource = resource
-        self.priority = priority
-        self._key = (priority, next(resource._tiebreak))
 
     def __enter__(self) -> "Request":
         return self
@@ -72,8 +59,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.users: list[Request] = []
-        self._queue: deque[Request] | list[Request] = deque()
-        self._tiebreak = itertools.count()
+        self._queue: deque[Request] = deque()
 
     # -- public API ---------------------------------------------------------
 
@@ -87,10 +73,10 @@ class Resource:
         """Number of requests waiting."""
         return len(self._queue)
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Claim one slot; the returned event fires once granted."""
-        req = Request(self, priority)
-        self._enqueue(req)
+        req = Request(self)
+        self._queue.append(req)
         self._grant()
         return req
 
@@ -104,15 +90,9 @@ class Resource:
 
     # -- internals ----------------------------------------------------------
 
-    def _enqueue(self, req: Request) -> None:
-        self._queue.append(req)  # type: ignore[union-attr]
-
-    def _pop_next(self) -> Request:
-        return self._queue.popleft()  # type: ignore[union-attr]
-
     def _grant(self) -> None:
         while self._queue and len(self.users) < self.capacity:
-            req = self._pop_next()
+            req = self._queue.popleft()
             self.users.append(req)
             req.succeed(req, priority=URGENT)
 
@@ -122,34 +102,6 @@ class Resource:
         elif not req.triggered:
             try:
                 self._queue.remove(req)
-            except ValueError:
-                pass
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority.
-
-    Lower ``priority`` values are served first; FIFO among equals.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        super().__init__(sim, capacity, name)
-        self._queue = []  # heap of requests keyed by Request._key
-
-    def _enqueue(self, req: Request) -> None:
-        heapq.heappush(self._queue, (req._key, req))  # type: ignore[arg-type]
-
-    def _pop_next(self) -> Request:
-        return heapq.heappop(self._queue)[1]  # type: ignore[arg-type]
-
-    def _cancel(self, req: Request) -> None:
-        if req in self.users:
-            self.release(req)
-        elif not req.triggered:
-            entry = (req._key, req)
-            try:
-                self._queue.remove(entry)  # type: ignore[arg-type]
-                heapq.heapify(self._queue)  # type: ignore[arg-type]
             except ValueError:
                 pass
 
@@ -267,11 +219,9 @@ class Store:
     def _insert(self, item: Any) -> None:
         self.items.append(item)
 
-    def _take(self, getter: Event) -> tuple[bool, Any]:
-        """Return (matched, item) for the next get."""
-        if self.items:
-            return True, self.items.popleft()
-        return False, None
+    def _take(self) -> Any:
+        """Remove and return the next item (the store is non-empty)."""
+        return self.items.popleft()
 
     def _settle(self) -> None:
         progress = True
@@ -282,18 +232,9 @@ class Store:
                 self._insert(item)
                 evt.succeed(item, priority=URGENT)
                 progress = True
-            # Scan getters; FilterStore may skip some.
-            if self._gets:
-                pending: deque[Event] = deque()
-                while self._gets:
-                    getter = self._gets.popleft()
-                    matched, item = self._take(getter)
-                    if matched:
-                        getter.succeed(item, priority=URGENT)
-                        progress = True
-                    else:
-                        pending.append(getter)
-                self._gets = pending
+            while self._gets and self.items:
+                self._gets.popleft().succeed(self._take(), priority=URGENT)
+                progress = True
             if not self.items and not self._puts:
                 break
 
@@ -315,47 +256,5 @@ class PriorityStore(Store):
     def _insert(self, item: Any) -> None:
         heapq.heappush(self.items, (item, next(self._seq)))
 
-    def _take(self, getter: Event) -> tuple[bool, Any]:
-        if self.items:
-            return True, heapq.heappop(self.items)[0]
-        return False, None
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-class _FilterGet(Event):
-    """A get event carrying its selection predicate."""
-
-    __slots__ = ("_filter",)
-
-    def __init__(self, sim: Simulator, predicate: Callable[[Any], bool] | None):
-        super().__init__(sim)
-        self._filter = predicate
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose getters select items with a predicate."""
-
-    def __init__(
-        self, sim: Simulator, capacity: float = float("inf"), name: str = ""
-    ):
-        super().__init__(sim, capacity, name)
-        self.items: list[Any] = []
-
-    def get(self, predicate: Callable[[Any], bool] | None = None) -> Event:
-        evt = _FilterGet(self.sim, predicate)
-        self._gets.append(evt)
-        self._settle()
-        return evt
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _take(self, getter: Event) -> tuple[bool, Any]:
-        predicate = getattr(getter, "_filter", None)
-        for i, item in enumerate(self.items):
-            if predicate is None or predicate(item):
-                del self.items[i]
-                return True, item
-        return False, None
+    def _take(self) -> Any:
+        return heapq.heappop(self.items)[0]

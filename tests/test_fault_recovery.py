@@ -7,8 +7,11 @@ responder stalls.  The transparent-overhead invariant — a job with no
 fault plan behaves bit-identically to one built before this subsystem
 existed — is checked via counter-key absence and determinism.
 
-Legacy rate-based injection (map_failure_rate etc.) lives in
-test_fault_tolerance.py.
+Legacy rate-based injection (map_failure_rate etc.) is covered at the
+end of this file: map attempts die partway and are rescheduled, reduce
+attempts die and re-run their whole shuffle, fetches fail transiently
+and back off.  Jobs still complete correctly, recovery costs time, and
+the retry counters account for every injected fault.
 """
 
 import pytest
@@ -213,3 +216,108 @@ def test_plan_crashing_every_node_rejected():
     )
     with pytest.raises(ValueError, match="crashes every node"):
         run("http", n_nodes=2, fault_plan=plan)
+
+
+# ---------------------------------------------------------------------------
+# Legacy rate-based injection (map/reduce/fetch_failure_rate, no plan)
+# ---------------------------------------------------------------------------
+
+
+def run_rated(engine, size=1 * GB, n_nodes=2, seed=0, **overrides):
+    conf = terasort_job(size, n_nodes, engine, **overrides)
+    return run_job(westmere_cluster(n_nodes), "ipoib", conf, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Map failures
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["http", "rdma"])
+def test_map_failures_recovered(engine):
+    result = run_rated(engine, size=2 * GB, map_failure_rate=0.3)
+    assert result.counters.get("map.failed_attempts", 0) > 0
+    # Every map still completed exactly once.
+    assert result.counters["map.completed"] == result.conf.n_maps
+    assert result.counters["reduce.completed"] == result.conf.n_reduces
+
+
+def test_map_failures_cost_time():
+    clean = run_rated("rdma", size=2 * GB)
+    # Generous attempt budget: with rate 0.4 a 4-strikes-out is plausible.
+    faulty = run_rated("rdma", size=2 * GB, map_failure_rate=0.4, max_task_attempts=10)
+    assert faulty.execution_time > clean.execution_time
+
+
+def test_map_failure_rate_zero_injects_nothing():
+    result = run_rated("rdma", map_failure_rate=0.0)
+    assert result.counters.get("map.failed_attempts", 0) == 0
+
+
+def test_map_failures_deterministic():
+    a = run_rated("rdma", size=2 * GB, map_failure_rate=0.3)
+    b = run_rated("rdma", size=2 * GB, map_failure_rate=0.3)
+    assert a.counters == b.counters
+    assert a.execution_time == b.execution_time
+
+
+def test_unrecoverable_map_aborts_job():
+    with pytest.raises(RuntimeError, match="exceeded"):
+        run_rated("rdma", map_failure_rate=1.0, max_task_attempts=2)
+
+
+# ---------------------------------------------------------------------------
+# Reduce failures
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["http", "hadoopa", "rdma"])
+def test_reduce_failures_recovered(engine):
+    result = run_rated(engine, size=2 * GB, reduce_failure_rate=0.35, seed=3)
+    assert result.counters.get("reduce.failed_attempts", 0) > 0
+    assert result.counters["reduce.completed"] == result.conf.n_reduces
+    # The successful attempts wrote at least the full dataset (failed
+    # attempts may have written partial output on top).
+    assert result.counters["reduce.output_bytes"] >= result.conf.data_bytes * 0.999
+
+
+def test_reduce_failures_cost_time():
+    clean = run_rated("rdma", size=2 * GB)
+    faulty = run_rated("rdma", size=2 * GB, reduce_failure_rate=0.5, seed=5)
+    assert faulty.counters.get("reduce.failed_attempts", 0) > 0
+    assert faulty.execution_time > clean.execution_time
+
+
+# ---------------------------------------------------------------------------
+# Transient fetch failures
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["http", "hadoopa", "rdma"])
+def test_fetch_retries_recovered(engine):
+    result = run_rated(engine, size=2 * GB, fetch_failure_rate=0.05)
+    assert result.counters.get("shuffle.fetch_retries", 0) > 0
+    assert result.counters["shuffle.bytes"] == pytest.approx(
+        result.counters["map.output_bytes"], rel=1e-6
+    )
+
+
+def test_fetch_retries_cost_time():
+    clean = run_rated("http", size=2 * GB)
+    flaky = run_rated(
+        "http", size=2 * GB, fetch_failure_rate=0.10, fetch_retry_delay=10.0
+    )
+    assert flaky.execution_time > clean.execution_time
+
+
+def test_combined_fault_storm_still_completes():
+    result = run_rated(
+        "rdma",
+        size=2 * GB,
+        map_failure_rate=0.2,
+        reduce_failure_rate=0.2,
+        fetch_failure_rate=0.03,
+        seed=11,
+    )
+    assert result.counters["map.completed"] == result.conf.n_maps
+    assert result.counters["reduce.completed"] == result.conf.n_reduces

@@ -1,16 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Container, and the Stores."""
+"""Unit tests for Resource, Container, and the Stores."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Simulator,
-    Store,
-)
+from repro.sim import Container, PriorityStore, Resource, Simulator, Store
 from repro.sim.core import SimulationError
 
 
@@ -93,26 +85,6 @@ def test_resource_cancel_queued_request():
     res.release(r1)
     sim.run()
     assert res.count == 0 and res.queue_len == 0
-
-
-def test_priority_resource_orders_by_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def worker(sim, res, name, prio, delay):
-        yield sim.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield sim.timeout(10)
-
-    sim.process(worker(sim, res, "first", 0, 0))
-    # Both queued while "first" holds the slot; "high" (lower value) wins.
-    sim.process(worker(sim, res, "low", 5, 1))
-    sim.process(worker(sim, res, "high", 1, 2))
-    sim.run()
-    assert order == ["first", "high", "low"]
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +253,3 @@ def test_priority_store_fifo_among_equal_priorities():
     sim.process(consumer(sim, st))
     sim.run()
     assert out == ["first", "second", "third"]
-
-
-def test_filter_store_selects_by_predicate():
-    sim = Simulator()
-    st = FilterStore(sim)
-    out = []
-
-    def consumer(sim, st):
-        item = yield st.get(lambda x: x % 2 == 0)
-        out.append(item)
-
-    st.put(1)
-    st.put(3)
-    st.put(4)
-    sim.process(consumer(sim, st))
-    sim.run()
-    assert out == [4]
-    assert sorted(st.items) == [1, 3]
-
-
-def test_filter_store_waits_for_matching_item():
-    sim = Simulator()
-    st = FilterStore(sim)
-    out = []
-
-    def consumer(sim, st):
-        item = yield st.get(lambda x: x == "wanted")
-        out.append((sim.now, item))
-
-    def producer(sim, st):
-        yield st.put("other")
-        yield sim.timeout(3)
-        yield st.put("wanted")
-
-    sim.process(consumer(sim, st))
-    sim.process(producer(sim, st))
-    sim.run()
-    assert out == [(3, "wanted")]

@@ -12,7 +12,10 @@ Three levels, mirroring the subsystem's structure:
 * end-to-end commit-once — a degraded node plus LATE backups on every
   engine must commit each task exactly once, tear losers down as
   *killed* (not failed), and keep output bytes identical to the
-  no-speculation run.
+  no-speculation run;
+* speculation without a fault plan — a node built slow (``cpu_speed``
+  and disk bandwidth scaled down) must provoke map and reduce backups
+  that resolve the same way, with nothing but the speculator armed.
 
 The speculation-beats-no-speculation performance claim is gated by
 ``benchmarks/test_stragglers.py``; here we only pin correctness.
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import westmere_cluster
+from repro.cluster import build_cluster, westmere_cluster
 from repro.faults import (
     DiskSlowdown,
     FaultPlan,
@@ -35,6 +38,7 @@ from repro.faults import (
     standard_slowdown_plan,
 )
 from repro.mapreduce import run_job, terasort_job
+from repro.mapreduce.driver import run_job_on
 from repro.mapreduce.speculation import AttemptProgress, pick_straggler
 from repro.tools import phase_breakdown
 
@@ -312,3 +316,121 @@ def test_speculation_deterministic_same_seed():
     b = run_job(westmere_cluster(3), "ipoib", conf, seed=3)
     assert a.execution_time == b.execution_time
     assert a.counters == b.counters
+
+
+# ---------------------------------------------------------------------------
+# Map speculation on a slow-CPU node (no fault plan)
+# ---------------------------------------------------------------------------
+
+
+def straggler_cluster(n=4, slow_index=0, speed=0.25):
+    """A cluster whose node ``slow_index`` computes at ``speed`` pace."""
+    specs = westmere_cluster(n)
+    specs[slow_index] = specs[slow_index].scaled(cpu_speed=speed)
+    return build_cluster(specs, "ipoib")
+
+
+def run_map_speculation(speculative, speed=0.25, size=2 * GB):
+    conf = terasort_job(size, 4, "rdma", speculative_execution=speculative)
+    return run_job_on(straggler_cluster(speed=speed), conf)
+
+
+def test_straggler_slows_job():
+    slow = run_map_speculation(speculative=False)
+    normal_conf = terasort_job(2 * GB, 4, "rdma")
+    normal = run_job_on(build_cluster(westmere_cluster(4), "ipoib"), normal_conf)
+    assert slow.execution_time > normal.execution_time
+
+
+def test_speculation_launches_backups_and_shortens_map_phase():
+    """Backup attempts on fast nodes beat the straggler's stuck attempts.
+
+    Only map tasks speculate (the 0.20.2 map-side default we model), so
+    the win shows in the map phase: reducers pinned to the slow node
+    still drag the tail either way.
+    """
+    without = run_map_speculation(speculative=False, speed=0.07)
+    with_spec = run_map_speculation(speculative=True, speed=0.07)
+    assert with_spec.counters.get("map.speculative_launched", 0) > 0
+    assert with_spec.last_map_end < without.last_map_end
+    # The losing originals were cancelled, recorded as failed spans.
+    cancelled = [s for s in with_spec.task_spans if s.kind == "map" and not s.ok]
+    assert len(cancelled) == with_spec.counters["map.speculative_launched"]
+
+
+def test_speculation_exactly_one_commit_per_map():
+    result = run_map_speculation(speculative=True, speed=0.15)
+    assert result.counters["map.completed"] == result.conf.n_maps
+    # Losing attempts' outputs were discarded, not double-registered.
+    assert result.counters["map.output_bytes"] == pytest.approx(
+        result.conf.data_bytes, rel=1e-6
+    )
+    assert result.counters["reduce.completed"] == result.conf.n_reduces
+
+
+def test_speculation_noop_on_balanced_cluster():
+    conf = terasort_job(2 * GB, 4, "rdma", speculative_execution=True)
+    result = run_job_on(build_cluster(westmere_cluster(4), "ipoib"), conf)
+    # Jitter is a few percent; nothing should cross the 1.5x median bar.
+    assert result.counters.get("map.speculative_launched", 0) == 0
+
+
+def test_speculation_disabled_by_default():
+    conf = terasort_job(1 * GB, 2, "rdma")
+    assert conf.speculative_execution is False
+
+
+# ---------------------------------------------------------------------------
+# Reduce speculation on a slow node (no fault plan)
+# ---------------------------------------------------------------------------
+
+
+def slow_node_specs():
+    """Three nodes; the sick one runs its CPU and disk at a tenth of pace."""
+    specs = westmere_cluster(3)
+    sick = specs[2]
+    assert sick.name == SICK_NODE
+    specs[2] = sick.scaled(
+        cpu_speed=0.1,
+        disks=tuple(
+            d.scaled(read_bw=d.read_bw * 0.1, write_bw=d.write_bw * 0.1)
+            for d in sick.disks
+        ),
+    )
+    return specs
+
+
+@pytest.mark.parametrize("engine", ["http", "rdma"])
+def test_reduce_speculation_without_fault_plan(engine):
+    """Losing reduces are told through lose events, not interrupts.
+
+    With no fault plan there is no crash or migrate race arm; the only
+    arm is each attempt's lose event, and the race must still resolve
+    with one commit per reduce and every loser killed, never failed.
+    """
+    conf = terasort_job(
+        1 * GB,
+        3,
+        engine,
+        block_bytes=256 * MB,
+        n_reduces=6,
+        speculative_reduces=True,
+        speculative_threshold=1.3,
+        speculative_interval=1.0,
+    )
+    r = run_job_on(build_cluster(slow_node_specs(), "ipoib", seed=3), conf)
+    c = r.counters
+    backups = c["speculation.reduce_backups"]
+    assert backups >= 1, "the slow node never provoked a reduce backup"
+    assert c["reduce.completed"] == conf.n_reduces
+    assert c["reduce.committed_output_bytes"] == pytest.approx(
+        conf.data_bytes, rel=1e-6
+    )
+    assert c["reduce.output_bytes"] == pytest.approx(
+        c["reduce.committed_output_bytes"] + c["speculation.wasted_output_bytes"],
+        rel=1e-9,
+    )
+    assert c["speculation.wins"] + c["speculation.losers_killed"] == 2 * backups
+    killed = [s for s in r.task_spans if s.killed]
+    assert len(killed) == c["speculation.losers_killed"]
+    assert phase_breakdown(r.task_spans)["reduce.failed_attempts"] == 0.0
