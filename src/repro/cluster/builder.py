@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.node import Node, NodeSpec
+from repro.faults import FaultInjector, FaultPlan
 from repro.network.fabric import Fabric
 from repro.network.transports import TransportSpec, transport_by_name
 from repro.sim.core import Simulator
@@ -43,10 +44,12 @@ class Cluster:
         ]
         self.by_name: dict[str, Node] = {n.name: n for n in self.nodes}
         self.rng = RandomStreams(spec.seed)
-        #: Fault injector (repro.faults.FaultInjector) when a job with a
-        #: fault plan runs on this cluster; None otherwise.  HDFS and the
-        #: transports consult it for node/link liveness.
-        self.faults = None
+        #: Fault injector (repro.faults.FaultInjector) of the job running
+        #: on this cluster; an inert one until a job installs its own.
+        #: HDFS consults it for node liveness.
+        self.faults = FaultInjector(
+            self.sim, self.rng, FaultPlan(), [n.name for n in self.nodes]
+        )
         #: Integrity manager (repro.integrity.IntegrityManager) when a job
         #: with checksums/corruption runs here; None otherwise.  HDFS
         #: consults it for verify-on-read and replica preference.

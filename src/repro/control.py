@@ -154,7 +154,7 @@ class ControlPlane:
         if (
             self.migrate_enabled
             and self.ctx.integrity is not None
-            and self.ctx.faults is not None
+            and self.ctx.faults.active
         ):
             migrate = Event(self.ctx.sim)
         self._attempts[reduce_id] = _Attempt(reduce_id, tt_name, consumer, migrate)
@@ -329,7 +329,7 @@ class ControlPlane:
         for tt_name in sorted(ctx.trackers):
             if tt_name == name:
                 continue
-            if ctx.faults is not None and ctx.faults.node_dead(tt_name):
+            if ctx.faults.node_dead(tt_name):
                 continue
             if ctx.integrity is not None and ctx.integrity.quarantined(tt_name):
                 continue

@@ -44,10 +44,19 @@ Fault kinds
   otherwise report to.  Recovery (journal replay, lease fencing,
   TaskTracker re-registration) lives in :mod:`repro.mapreduce.journal`.
 
+* ``map_failure_rate`` / ``reduce_failure_rate`` — a task attempt dies
+  partway through with this probability; ``fetch_failure_rate`` — a
+  shuffle fetch fails transiently and is retried after
+  ``fetch_retry_delay`` seconds (Hadoop 0.20.2's copier retry).  Each is
+  drawn from its own named stream (``mapfail-{map}-a{attempt}``,
+  ``redfail-{reduce}-a{attempt}``, ``fetchfail``).
+
 Everything is deterministic: plan times are fixed simulation timestamps
-and the only randomness (disk errors) comes from the cluster's seeded
-stream family.  When no plan is configured none of this is instantiated —
-the no-fault path stays event-for-event identical.
+and the only randomness (disk errors, failure rates) comes from the
+cluster's seeded stream family.  Every job carries an injector; with no
+plan it holds an empty :class:`FaultPlan`, spawns no process, exports no
+``faults.*`` metrics and answers every query "healthy", so the shuffle
+engines keep one fault-aware serve path and one fetch path.
 """
 
 from __future__ import annotations
@@ -276,6 +285,13 @@ class FaultPlan:
     stalls: tuple[ResponderStall, ...] = ()
     #: Probability that one provider-side segment read fails.
     disk_error_rate: float = 0.0
+    #: Probability that a map / reduce task attempt fails partway through.
+    map_failure_rate: float = 0.0
+    reduce_failure_rate: float = 0.0
+    #: Probability that one shuffle fetch fails transiently and is retried,
+    #: and the back-off before each retry, seconds.
+    fetch_failure_rate: float = 0.0
+    fetch_retry_delay: float = 5.0
     #: Silent-corruption entries (verified and recovered by repro.integrity).
     disk_corruptions: tuple[DiskCorruption, ...] = ()
     wire_corruptions: tuple[WireCorruption, ...] = ()
@@ -293,6 +309,17 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.disk_error_rate < 1.0:
             raise ValueError(f"disk_error_rate {self.disk_error_rate} not in [0, 1)")
+        for field in ("map_failure_rate", "reduce_failure_rate"):
+            rate = getattr(self, field)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{field} {rate} not in [0, 1]")
+        # A rate of 1 would retry every fetch forever.
+        if not 0.0 <= self.fetch_failure_rate < 1.0:
+            raise ValueError(
+                f"fetch_failure_rate {self.fetch_failure_rate} not in [0, 1)"
+            )
+        if self.fetch_retry_delay <= 0:
+            raise ValueError(f"non-positive fetch_retry_delay {self.fetch_retry_delay}")
 
         def nonneg_at(e):
             if e.at < 0:
@@ -351,6 +378,9 @@ class FaultPlan:
             or self.flaps
             or self.stalls
             or self.disk_error_rate > 0
+            or self.map_failure_rate > 0
+            or self.reduce_failure_rate > 0
+            or self.fetch_failure_rate > 0
             or self.has_corruption
             or self.has_degradation
             or self.has_master_faults
@@ -712,9 +742,12 @@ def named_plan(
 class FaultInjector:
     """Runtime of one :class:`FaultPlan` on one cluster/job.
 
-    Created only when a plan is configured; every hook in the shuffle /
-    UCR / scheduler code is behind an ``if ctx.faults is not None`` check,
-    so the idle cost is a single attribute test.
+    Every job has one (``ctx.faults``), and the shuffle, UCR and scheduler
+    code queries it unconditionally.  An empty plan makes it inert: it is
+    not :attr:`active`, spawns no process, and every query answers
+    "healthy" from state precomputed here.  Only the per-component hooks
+    :meth:`bind` installs (``Node.faults``, ``DiskDevice.faults``) and
+    UCR's per-send path check stay unset unless the plan names them.
     """
 
     def __init__(
@@ -726,11 +759,17 @@ class FaultInjector:
     ):
         self.sim = sim
         self.plan = plan
+        #: Whether a plan is configured at all.  Only a few places branch on
+        #: it: where a plan changes process structure or exported keys.
+        self.active = not plan.empty
+        #: Whether a port can ever go down (crashes or flaps): UCR checks
+        #: the path on every send only then.
+        self.breaks_links = bool(plan.crashes or plan.flaps)
         names = set(node_names)
         unknown = plan.nodes_referenced() - names
         if unknown:
             raise ValueError(f"fault plan references unknown nodes: {sorted(unknown)}")
-        if {c.node for c in plan.crashes} >= names:
+        if plan.crashes and {c.node for c in plan.crashes} >= names:
             raise ValueError("fault plan crashes every node; nothing could recover")
         #: Injection tallies, registered as the ``faults.*`` metrics namespace.
         self.counters = Counter()
@@ -788,6 +827,7 @@ class FaultInjector:
         # serves never perturbs another node's draw sequence.
         self._rng = rng
         self._disk_rngs: dict[str, object] = {}
+        self._fetch_fate = None
         self._crash_hooks: list[Callable[[str], None]] = []
         self._flap_hooks: list[Callable[[str], None]] = []
         self._started = False
@@ -916,21 +956,36 @@ class FaultInjector:
 
     def link_down(self, node: str) -> bool:
         """Is the node's port unusable right now (crashed or flapping)?"""
+        if not self.breaks_links:
+            return False
         if node in self.crashed:
             return True
         now = self.sim.now
         return any(s <= now < e for s, e in self._flap_windows.get(node, ()))
 
-    def path_down(self, a: str, b: str) -> bool:
-        return self.link_down(a) or self.link_down(b)
+    def refuse_serve(self, server: str, client: str) -> "FaultError | None":
+        """Why ``server`` cannot answer ``client`` right now, or None.
+
+        The serving node may have crashed, or either port may be down.
+        """
+        if not self.breaks_links:
+            return None
+        if server in self.crashed:
+            return FaultError("crash", server)
+        if self.link_down(server) or self.link_down(client):
+            return FaultError("link", f"{server}<->{client}")
+        return None
 
     def stall_penalty(self, node: str) -> float:
         """Seconds left in an active responder-stall window (0 when none).
 
         Counts one ``responder_stalls`` tick per affected service call.
         """
+        windows = self._stall_windows.get(node)
+        if windows is None:
+            return 0.0
         now = self.sim.now
-        for s, e in self._stall_windows.get(node, ()):
+        for s, e in windows:
             if s <= now < e:
                 self.counters.add("responder_stalls", 1)
                 return e - now
@@ -939,7 +994,7 @@ class FaultInjector:
     def disk_read_fails(self, node: str) -> bool:
         """Draw one provider-side segment read on ``node`` against
         ``disk_error_rate`` (from that node's own seeded stream)."""
-        if self.plan.disk_error_rate <= 0:
+        if not self.plan.disk_error_rate:
             return False
         stream = self._disk_rngs.get(node)
         if stream is None:
@@ -949,6 +1004,39 @@ class FaultInjector:
             self.counters.add("disk_errors", 1)
             return True
         return False
+
+    def task_fail_point(
+        self, kind: str, task_id: int, attempt: int, nbytes: float
+    ) -> float:
+        """Bytes of work after which a task attempt dies (inf: it survives).
+
+        ``kind`` is ``"map"`` (``nbytes``: the input split) or ``"reduce"``
+        (``nbytes``: the expected reduced output).
+        """
+        if kind == "map":
+            rate, stream = self.plan.map_failure_rate, "mapfail"
+        else:
+            rate, stream = self.plan.reduce_failure_rate, "redfail"
+        if rate > 0:
+            fate = self._rng.stream(f"{stream}-{task_id}-a{attempt}")
+            if fate.uniform() < rate:
+                return float(fate.uniform(0.05, 0.95)) * nbytes
+        return float("inf")
+
+    def transient_fetch_failures(self, counters: Counter):
+        """Back off once per transient failure drawn for one fetch (``yield from``).
+
+        Each failure counts one ``shuffle.fetch_retries`` in ``counters``
+        and waits ``fetch_retry_delay`` before the copier re-requests.
+        """
+        rate = self.plan.fetch_failure_rate
+        if rate <= 0:
+            return
+        if self._fetch_fate is None:
+            self._fetch_fate = self._rng.stream("fetchfail")
+        while self._fetch_fate.uniform() < rate:
+            counters.add("shuffle.fetch_retries", 1)
+            yield self.sim.timeout(self.plan.fetch_retry_delay)
 
     def cpu_delay(self, node: str, delay: float) -> float:
         """Wall-clock seconds to do ``delay`` nominal CPU-seconds from now.
@@ -992,9 +1080,6 @@ class FaultInjector:
             if (disk < 0 or disk == disk_index) and start <= now < end:
                 factor *= f
         return factor
-
-    def healthy(self, names: Iterable[str]) -> list[str]:
-        return [n for n in names if n not in self.crashed]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultInjector {self.plan.name!r} crashed={sorted(self.crashed)}>"

@@ -95,7 +95,7 @@ class DFSClient:
         else:
             owner_name = block.locations[0]
             faults = self.cluster.faults
-            if faults is not None and faults.node_dead(owner_name):
+            if faults.node_dead(owner_name):
                 # Replica selection skips dead DataNodes (the NameNode
                 # stops listing them once heartbeats lapse).  With every
                 # replica dead we fall through to the primary — a real
@@ -143,9 +143,7 @@ class DFSClient:
         for loc in block.locations:
             if loc not in candidates:
                 candidates.append(loc)
-        live = [
-            c for c in candidates if faults is None or not faults.node_dead(c)
-        ]
+        live = [c for c in candidates if not faults.node_dead(c)]
         if live:
             candidates = live
         preferred = [c for c in candidates if not integ.quarantined(c)]

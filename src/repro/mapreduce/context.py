@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster.builder import Cluster
 from repro.core.protocol import MapOutputMeta
+from repro.faults import FaultInjector, FaultPlan
 from repro.hdfs.client import DFSClient
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.job import JobConf
@@ -138,24 +139,19 @@ class JobContext:
             [n.name for n in cluster.nodes], cluster.rng.stream("hdfs-placement")
         )
         self.dfs = DFSClient(cluster, self.namenode)
-        #: Fault injection runtime (repro.faults); None when no plan is
-        #: configured, and every fault hook in the stack is behind a plain
-        #: ``ctx.faults is not None`` check so the idle path stays
-        #: event-for-event identical.
-        self.faults = None
-        if conf.fault_plan is not None and not conf.fault_plan.empty:
-            from repro.faults import FaultInjector
-
-            self.faults = FaultInjector(
-                self.sim,
-                cluster.rng,
-                conf.fault_plan,
-                [n.name for n in cluster.nodes],
-            )
-            # Degradation windows (NodeSlowdown / DiskSlowdown /
-            # LinkDegrade) actuate inside the cluster/storage/network
-            # layers; no-op unless the plan carries such entries.
-            self.faults.bind(cluster)
+        #: Fault injection runtime (repro.faults).  Always present: with no
+        #: plan it holds an empty FaultPlan, is not ``active``, and answers
+        #: every query "healthy".
+        self.faults = FaultInjector(
+            self.sim,
+            cluster.rng,
+            conf.fault_plan or FaultPlan(),
+            [n.name for n in cluster.nodes],
+        )
+        # Degradation windows (NodeSlowdown / DiskSlowdown / LinkDegrade)
+        # actuate inside the cluster/storage/network layers; no-op unless
+        # the plan carries such entries.
+        self.faults.bind(cluster)
         cluster.faults = self.faults
         #: UCR runtime for the verbs engines ("hadoopa", "rdma"); they run
         #: native IB verbs regardless of what transport vanilla traffic uses
@@ -166,7 +162,7 @@ class JobContext:
             self.sim,
             cluster.fabric.flows,
             IB_VERBS,
-            fallback=IPOIB if self.faults is not None else None,
+            fallback=IPOIB if self.faults.active else None,
             faults=self.faults,
             downgrade_after=conf.verbs_downgrade_after,
         )
@@ -177,9 +173,8 @@ class JobContext:
         self.tracer = PhaseTracer(enabled=conf.phase_tracing)
         #: End-to-end checksum verification + corruption recovery +
         #: quarantine (repro.integrity); None unless integrity_checksums
-        #: is on or the fault plan carries corruption entries.  Same
-        #: contract as ``faults``: every hook is behind an
-        #: ``is not None`` check, the idle path is untouched.
+        #: is on or the fault plan carries corruption entries.  Every hook
+        #: is behind an ``is not None`` check, the idle path is untouched.
         self.integrity = None
         if conf.integrity_active:
             from repro.integrity import IntegrityManager
@@ -198,9 +193,9 @@ class JobContext:
             self.namenode.health_filter = self.integrity.quarantined
         cluster.integrity = self.integrity
         #: Closed-loop shuffle control plane (repro.control); None unless
-        #: control_interval is set.  Same contract as ``faults`` and
-        #: ``integrity``: every hook is behind an ``is not None`` check,
-        #: knob-free runs stay event-for-event identical.
+        #: control_interval is set.  Same contract as ``integrity``: every
+        #: hook is behind an ``is not None`` check, knob-free runs stay
+        #: event-for-event identical.
         self.control = None
         if conf.control_active:
             from repro.control import ControlPlane
@@ -242,12 +237,12 @@ class JobContext:
         if self.journal is not None:
             # journal.* appears only when the master-resilience layer runs.
             self.metrics.register("journal", self.journal.counters)
-        if self.faults is not None:
+        if self.faults.active:
             # faults.* and ucr.* appear in the metrics tree only when a
             # plan is active (no new keys on fault-free BENCH exports).
             self.metrics.register("faults", self.faults.counters)
             self.metrics.register("ucr", self.ucr.fault_metrics)
-            self.faults.start()
+        self.faults.start()
         if conf.ucr_tracing:
             # Per-send UCR spans + endpoint queue-depth gauges; ucr.net.*
             # appears in the metrics tree only when the knob is set.

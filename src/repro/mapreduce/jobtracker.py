@@ -113,11 +113,10 @@ class JobTracker:
             for disk in node.fs.disks:
                 ctx.metrics.register(f"disk.{disk.name}", disk)
 
-        if ctx.faults is not None:
-            # Fetch-failure reports flow back here, and a node crash kills
-            # the attempts running on it.
-            ctx.fetch_failure_handler = self.report_fetch_failure
-            ctx.faults.on_crash(self._on_node_crash)
+        # Fetch-failure reports flow back here, and a node crash kills
+        # the attempts running on it.
+        ctx.fetch_failure_handler = self.report_fetch_failure
+        ctx.faults.on_crash(self._on_node_crash)
 
         if ctx.integrity is not None:
             # A quarantined TaskTracker sheds engine state whose integrity
@@ -183,13 +182,11 @@ class JobTracker:
             self._reduce_wrapper_procs = reducers
 
             yield self.sim.all_of(self._map_loop_procs + reducers)
-            if ctx.faults is not None:
-                # Re-execution drivers normally finish before the reducers
-                # that wait on their output; drain stragglers so nothing
-                # leaks.
-                live = [p for p in self._reexec_procs if p.is_alive]
-                if live:
-                    yield self.sim.all_of(live)
+            # Re-execution drivers normally finish before the reducers
+            # that wait on their output; drain stragglers so nothing leaks.
+            live = [p for p in self._reexec_procs if p.is_alive]
+            if live:
+                yield self.sim.all_of(live)
             if self._spec_reduce_procs:
                 # A speculative backup may still be the winner mid-flight
                 # when every original wrapper has returned (its original
@@ -213,7 +210,7 @@ class JobTracker:
         conf = ctx.conf
         start_time = self.start_time
         counters = ctx.counters.as_dict()
-        if ctx.faults is not None:
+        if ctx.faults.active:
             # Make the recovery story legible in one place: every fault /
             # retry / degradation tally lands in the job counters (these
             # keys exist only when a plan was active, keeping fault-free
@@ -455,7 +452,7 @@ class JobTracker:
                 # Master crash while queued for a slot: withdraw quietly.
                 slot.cancel()
                 return
-            if self.ctx.faults is not None and self.ctx.faults.node_dead(tt.name):
+            if self.ctx.faults.node_dead(tt.name):
                 # This TaskTracker is gone; leave remaining maps to the
                 # healthy loops (and the re-execution path).
                 tt.map_slots.release(slot)
@@ -525,8 +522,7 @@ class JobTracker:
                     if spec is not None and exc.cause == "lost speculative race":
                         spec.note_loser("map", map_id, tt.name, 0.0)
                     if (
-                        self.ctx.faults is not None
-                        and exc.cause == "node-crash"
+                        exc.cause == "node-crash"
                         and map_id not in self.ctx.map_outputs
                     ):
                         self._relaunch_lost_map(map_id, block)
@@ -839,7 +835,7 @@ class JobTracker:
         for tt in ctx.trackers.values():
             if tt.name == straggler_node:
                 continue
-            if ctx.faults is not None and ctx.faults.node_dead(tt.name):
+            if ctx.faults.node_dead(tt.name):
                 continue
             if ctx.integrity is not None and ctx.integrity.quarantined(tt.name):
                 continue
@@ -934,7 +930,7 @@ class JobTracker:
         self._reduce_committed.add(reduce_id)
         self._reduce_span(tt, reduce_id, attempt, started)
         ctx.counters.add("reduce.completed", 1)
-        if ctx.faults is not None or ctx.conf.speculative_reduces:
+        if ctx.faults.active or ctx.conf.speculative_reduces:
             # Bytes that made it into the *committed* output — unlike
             # reduce.output_bytes this never includes a loser's partials,
             # so chaos runs can assert byte-identical results against it.
@@ -1065,7 +1061,7 @@ class JobTracker:
                     f"reduce {reduce_id} exceeded "
                     f"{ctx.conf.max_task_attempts} attempts"
                 )
-            if relocate or (faults is not None and faults.node_dead(tt.name)):
+            if relocate or faults.node_dead(tt.name):
                 tt = self._pick_reduce_tracker(reduce_id)
                 relocate = False
             slot = tt.reduce_slots.request()
@@ -1082,7 +1078,7 @@ class JobTracker:
             race_ev = None
             started = self.sim.now
             try:
-                if faults is not None and faults.node_dead(tt.name):
+                if faults.node_dead(tt.name):
                     continue  # crashed while we queued; move elsewhere
                 if reduce_id in self._reduce_committed:
                     return  # a racing sibling committed while we queued
@@ -1114,14 +1110,14 @@ class JobTracker:
                     )
                 arms = [ev for ev in (migrate, lose) if ev is not None]
                 try:
-                    if faults is None and not arms:
+                    if not faults.active and not arms:
                         # Nothing can end the attempt early: run inline.
                         yield from consumer.run()
                     else:
                         run_proc = self.sim.process(
                             consumer.run(), name=f"r{reduce_id}-attempt{attempt}"
                         )
-                        if faults is not None:
+                        if faults.active:
                             arms.insert(0, faults.crash_event(tt.name))
                         race_ev = self.sim.any_of([run_proc, *arms])
                         yield race_ev
@@ -1196,7 +1192,9 @@ class JobTracker:
                         continue
                     raise exc
                 # A finisher that lost the race by a nose is torn down
-                # as a loser inside.
+                # as a loser inside.  Its own lose event goes first, so a
+                # commit fires only its siblings'.
+                self._drop_lose_event(reduce_id, lose)
                 self._commit_reduce(consumer, tt, reduce_id, attempt, started)
                 return
             except Interrupted:
@@ -1212,11 +1210,14 @@ class JobTracker:
                     ctx.control.untrack_attempt(reduce_id)
                 if spec is not None and consumer is not None:
                     spec.untrack("reduce", reduce_id, attempt, tt.name)
-                if lose is not None:
-                    events = self._reduce_lose.get(reduce_id)
-                    if events is not None and lose in events:
-                        events.remove(lose)
+                self._drop_lose_event(reduce_id, lose)
                 tt.reduce_slots.release(slot)
+
+    def _drop_lose_event(self, reduce_id: int, lose: Event | None) -> None:
+        """Stop tracking one attempt's lose event (it left the race)."""
+        events = self._reduce_lose.get(reduce_id)
+        if events is not None and lose in events:
+            events.remove(lose)
 
     def _pick_reduce_tracker(self, reduce_id: int) -> TaskTracker:
         """Least-loaded live TaskTracker for a relocated reduce attempt.

@@ -312,7 +312,7 @@ class JobJournal:
     def _journal_writer(self):
         faults = self.ctx.faults
         for node in self.ctx.cluster.nodes:
-            if faults is None or not faults.node_dead(node.name):
+            if not faults.node_dead(node.name):
                 return node
         return None
 
@@ -431,8 +431,7 @@ class MasterSupervisor:
                     # before any worker parks.  Survived in place — the
                     # scheduler slept through it, which at this fidelity
                     # only shifts decisions the stall already delayed.
-                    if ctx.faults is not None:
-                        ctx.faults.counters.add("master_stalls", 1)
+                    ctx.faults.counters.add("master_stalls", 1)
                     journal.append("master_stall_survived", duration=duration)
                     continue
                 yield from self._failover(jt, run_proc, hb, kind, duration)
@@ -461,10 +460,9 @@ class MasterSupervisor:
         ctx = self.ctx
         conf = ctx.conf
         journal = ctx.journal
-        if ctx.faults is not None:
-            ctx.faults.counters.add(
-                "master_crashes" if kind == "crash" else "master_stalls", 1
-            )
+        ctx.faults.counters.add(
+            "master_crashes" if kind == "crash" else "master_stalls", 1
+        )
         old_epoch = journal.epoch
         zombie_tail = journal.note_master_down()
         if hb.is_alive:
@@ -482,7 +480,7 @@ class MasterSupervisor:
         parked = 0
         for name in sorted(ctx.trackers):
             tt = ctx.trackers[name]
-            if ctx.faults is not None and ctx.faults.node_dead(name):
+            if ctx.faults.node_dead(name):
                 continue
             tt.parked = True
             parked += 1
@@ -530,7 +528,7 @@ class MasterSupervisor:
         metas = []
         seen: dict[int, Any] = {}
         for name in sorted(ctx.trackers):
-            if ctx.faults is not None and ctx.faults.node_dead(name):
+            if ctx.faults.node_dead(name):
                 continue
             tt = ctx.trackers[name]
             tt.parked = False

@@ -81,11 +81,7 @@ def run_map_task(
     jitter = ctx.jitter(f"map-{map_id}-a{attempt}")
 
     # Fault injection: decide up front whether (and where) this attempt dies.
-    fail_at = float("inf")
-    if conf.map_failure_rate > 0:
-        fate = ctx.rng.stream(f"mapfail-{map_id}-a{attempt}")
-        if fate.uniform() < conf.map_failure_rate:
-            fail_at = float(fate.uniform(0.05, 0.95)) * block.nbytes
+    fail_at = ctx.faults.task_fail_point("map", map_id, attempt, block.nbytes)
 
     if ctx.first_map_start is None:
         ctx.first_map_start = sim.now
@@ -141,7 +137,7 @@ def run_map_task(
         total_out = block.nbytes * expansion
         ctx.tracer.record(task_name, "map", attempt_start, sim.now, total_out)
 
-        if ctx.faults is not None and node.fs.exists(map_output_file_name(map_id)):
+        if node.fs.exists(map_output_file_name(map_id)):
             # A condemned earlier attempt ran on this node and its output
             # file was left in place for in-flight readers; unlink it so
             # the re-execution can publish (readers keep their handle).

@@ -201,12 +201,9 @@ class ShuffleConsumer:
         self.shuffled_bytes = 0.0
         # Fault injection: decide up front whether this attempt dies and
         # after how much reduced output (paper §VI future work).
-        self._fail_after_bytes = float("inf")
-        if ctx.conf.reduce_failure_rate > 0:
-            fate = ctx.rng.stream(f"redfail-{reduce_id}-a{attempt}")
-            if fate.uniform() < ctx.conf.reduce_failure_rate:
-                expected = ctx.conf.data_bytes / ctx.conf.n_reduces
-                self._fail_after_bytes = float(fate.uniform(0.05, 0.95)) * expected
+        self._fail_after_bytes = ctx.faults.task_fail_point(
+            "reduce", reduce_id, attempt, ctx.conf.data_bytes / ctx.conf.n_reduces
+        )
         self.aborted = False
         #: Child processes (fetchers/copiers/mergers) spawned via _spawn,
         #: so a crashed attempt can be torn down with cancel().

@@ -64,27 +64,45 @@ class HttpShuffleProvider(ShuffleProvider):
     ) -> Generator[Event, Any, float]:
         """Handle one segment request end-to-end (driven by the copier).
 
-        Under fault injection the request can raise
+        Doomed requests are refused up front with a
         :class:`repro.faults.FaultError` (dead server, link down, output
-        lost, disk read error); the copier's retry loop handles it.
+        lost, serve fault, disk read error); the copier's retry loop
+        handles it.
         """
-        sim = self.ctx.sim
-        if self.ctx.faults is not None:
-            yield from self._fault_gate(requester_node, map_id)
-        meta, file = self.tt.output_of(map_id)
+        from repro.faults import FaultError
+
+        ctx = self.ctx
+        sim = ctx.sim
+        faults = ctx.faults
+        integ = ctx.integrity
+        name = self.tt.name
+        stall = faults.stall_penalty(name)
+        if stall > 0:
+            yield sim.timeout(stall)
+        refusal = faults.refuse_serve(name, requester_node.name)
+        if refusal is not None:
+            raise refusal
+        entry = self.tt.map_outputs.get(map_id)
+        if entry is None:
+            raise FaultError("lost", f"map {map_id}")
+        meta, file = entry
+        if integ is not None:
+            kind = integ.segment_serve_fault(name, file.name)
+            if kind is not None:
+                raise FaultError(kind, f"map {map_id} segment")
+        if faults.disk_read_fails(name):
+            if integ is not None:
+                integ.note_disk_error(name)
+            raise FaultError("disk", f"map {map_id} spill read")
         seg_bytes, _pairs = meta.segment(reduce_id)
         if seg_bytes <= 0:
             return 0.0
         # Request message crosses the wire first.
-        yield from self.ctx.cluster.fabric.send(requester_node, self.tt.node, 200)
+        yield from ctx.cluster.fabric.send(requester_node, self.tt.node, 200)
         # Transient fetch failure: the copier backs off and re-requests
         # (0.20.2's fetch retry path).
-        conf = self.ctx.conf
-        if conf.fetch_failure_rate > 0:
-            fate = self.ctx.rng.stream("fetchfail")
-            while fate.uniform() < conf.fetch_failure_rate:
-                self.ctx.counters.add("shuffle.fetch_retries", 1)
-                yield self.ctx.sim.timeout(conf.fetch_retry_delay)
+        yield from ctx.faults.transient_fetch_failures(ctx.counters)
+        conf = ctx.conf
         if self._queue_limit > 0:
             # Server-side backpressure: beyond queue_limit requests already
             # waiting for a servlet, new arrivals are parked at accept().
@@ -119,46 +137,16 @@ class HttpShuffleProvider(ShuffleProvider):
         self.bytes_served += seg_bytes
         self.ctx.counters.add("shuffle.bytes", seg_bytes)
         self.ctx.counters.add("shuffle.tt_disk_read_bytes", seg_bytes)
-        integ = self.ctx.integrity
         if integ is not None:
             # Verify-on-read of the servlet's disk stream (the 0.20.2
             # IFile checksum).  The bytes already crossed the wire — a
             # mismatch wastes the transfer, exactly like the real thing.
-            status = integ.check_segment_read(self.tt.name, file, seg_bytes)
+            status = integ.check_segment_read(name, file, seg_bytes)
             if status != "ok":
-                from repro.faults import FaultError
-
                 if status == "persistent":
                     raise FaultError("corrupt", f"map {map_id} on-disk output")
                 raise FaultError("checksum", f"map {map_id} segment read")
         return seg_bytes
-
-    def _fault_gate(
-        self, requester_node: Any, map_id: int
-    ) -> Generator[Event, Any, None]:
-        """Refuse doomed requests up front (fault injection only)."""
-        from repro.faults import FaultError
-
-        faults = self.ctx.faults
-        stall = faults.stall_penalty(self.tt.name)
-        if stall > 0:
-            yield self.ctx.sim.timeout(stall)
-        if faults.node_dead(self.tt.name):
-            raise FaultError("crash", self.tt.name)
-        if faults.path_down(self.tt.name, requester_node.name):
-            raise FaultError("link", f"{self.tt.name}<->{requester_node.name}")
-        if map_id not in self.tt.map_outputs:
-            raise FaultError("lost", f"map {map_id}")
-        integ = self.ctx.integrity
-        if integ is not None:
-            _meta, file = self.tt.map_outputs[map_id]
-            kind = integ.segment_serve_fault(self.tt.name, file.name)
-            if kind is not None:
-                raise FaultError(kind, f"map {map_id} segment")
-        if faults.disk_read_fails(self.tt.name):
-            if integ is not None:
-                integ.note_disk_error(self.tt.name)
-            raise FaultError("disk", f"map {map_id} spill read")
 
 
 class HttpShuffleConsumer(ShuffleConsumer):
@@ -204,10 +192,8 @@ class HttpShuffleConsumer(ShuffleConsumer):
     # -- lifecycle -----------------------------------------------------------
 
     def run(self) -> Generator[Event, Any, None]:
-        sim = self.ctx.sim
         conf = self.ctx.conf
-        if self.ctx.faults is not None:
-            self.ctx.board.add_replacement_listener(self._on_replacement)
+        self.ctx.board.add_replacement_listener(self._on_replacement)
         inbox = self.ctx.board.subscribe()
         feeder = self._spawn(self._feeder(inbox), name=f"r{self.reduce_id}-feeder")
         copiers = [
@@ -227,8 +213,7 @@ class HttpShuffleConsumer(ShuffleConsumer):
                     "shuffle.mem.high_water_bytes", self._mem_hwm
                 )
         finally:
-            if self.ctx.faults is not None:
-                self.ctx.board.remove_replacement_listener(self._on_replacement)
+            self.ctx.board.remove_replacement_listener(self._on_replacement)
 
     def _on_replacement(self, meta: MapOutputMeta) -> None:
         ev = self._replacement_events.pop(meta.map_id, None)
@@ -307,23 +292,17 @@ class HttpShuffleConsumer(ShuffleConsumer):
                     self._start_memory_merge()
 
     def _fetch_segment(self, meta: MapOutputMeta) -> Generator[Event, Any, float]:
-        """One segment fetch; with a fault plan, the full recovery loop.
+        """One segment fetch with the full recovery loop.
 
         Retries with back-off / penalty box on transient failures; after
         ``fetch_retry_limit`` consecutive failures the output is reported
         lost and the copier parks until the re-executed map's replacement
         meta arrives, then fetches from the new host.
         """
-        ctx = self.ctx
-        if ctx.faults is None:
-            provider = ctx.trackers[meta.host].provider
-            assert isinstance(provider, HttpShuffleProvider)
-            got = yield from provider.serve(self.node, meta.map_id, self.reduce_id)
-            return got
-
         from repro.faults import FaultError
         from repro.mapreduce.maptask import TaskFailure
 
+        ctx = self.ctx
         conf = ctx.conf
         faults = ctx.faults
         failures = 0

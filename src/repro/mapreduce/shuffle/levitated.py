@@ -134,46 +134,7 @@ class QueueingProvider(ShuffleProvider):
             self.data_request_queue.put(self._parked_requests.popleft())
 
     def _responder(self) -> Generator[Event, Any, None]:
-        ctx = self.ctx
-        while True:
-            req, done, requester = yield self.data_request_queue.get()
-            if self._parked_requests:
-                self._admit_parked()
-            if ctx.faults is not None:
-                yield from self._serve_faulted(req, done, requester)
-                continue
-            meta, file = self.tt.output_of(req.map_id)
-            seg_bytes, seg_pairs = meta.segment(req.reduce_id)
-            take = max(0.0, min(req.max_bytes, seg_bytes - req.offset))
-            if take <= 0:
-                done.succeed(0.0)
-                continue
-            cached = yield from self.fetch_payload(req, meta, file, take)
-            if ctx.integrity is not None and not cached:
-                # Checksums on, nothing corrupting (corruption implies the
-                # faulted path): verify-on-read always passes, counters move.
-                ctx.integrity.check_segment_read(self.tt.name, file, take)
-            # Message accounting from the engine's packet plan.
-            model = ctx.conf.record_model
-            pairs = max(1, int(round(take / model.avg_pair_bytes)))
-            plan = self.packetizer().plan(
-                take, pairs, model.avg_pair_bytes, model.max_pair_bytes
-            )
-            ep = ctx.ucr.endpoint(self.tt.node, requester)
-            yield from ep.send(
-                take + RESPONSE_HEADER_BYTES * max(1, plan.n_packets),
-                messages=max(1, plan.n_packets),
-            )
-            self.bytes_served += take
-            ctx.counters.add("shuffle.bytes", take)
-            eof = req.offset + take >= seg_bytes
-            self.after_serve(req, meta, eof, cached=bool(cached))
-            done.succeed(take)
-
-    def _serve_faulted(
-        self, req: DataRequest, done: Event, requester: Any
-    ) -> Generator[Event, Any, None]:
-        """One response under fault injection.
+        """RDMAResponder: serve queued requests, one response at a time.
 
         Failures are delivered *through* ``done`` (the requester's retry
         loop handles them); the event is pre-defused so a cancelled
@@ -183,79 +144,83 @@ class QueueingProvider(ShuffleProvider):
 
         ctx = self.ctx
         faults = ctx.faults
-        stall = faults.stall_penalty(self.tt.name)
-        if stall > 0:
-            # Hung service threads: requests queued behind the stall are
-            # simply served late, the consumer just waits longer.
-            yield ctx.sim.timeout(stall)
-        if faults.node_dead(self.tt.name):
-            done.fail(FaultError("crash", self.tt.name)).defuse()
-            return
-        if faults.link_down(self.tt.name) or faults.link_down(requester.name):
-            done.fail(FaultError("link", f"{self.tt.name}<->{requester.name}")).defuse()
-            return
-        entry = self.tt.map_outputs.get(req.map_id)
-        if entry is None:
-            # Output condemned after the request was queued.
-            done.fail(FaultError("lost", f"map {req.map_id}")).defuse()
-            return
-        meta, file = entry
-        seg_bytes, _seg_pairs = meta.segment(req.reduce_id)
-        take = max(0.0, min(req.max_bytes, seg_bytes - req.offset))
-        if take <= 0:
-            done.succeed(0.0)
-            return
         integ = ctx.integrity
-        if integ is not None:
-            kind = integ.segment_serve_fault(self.tt.name, file.name)
-            if kind is not None:
-                done.fail(FaultError(kind, f"map {req.map_id} segment")).defuse()
-                return
-        if faults.disk_read_fails(self.tt.name):
+        name = self.tt.name
+        while True:
+            req, done, requester = yield self.data_request_queue.get()
+            if self._parked_requests:
+                self._admit_parked()
+            stall = faults.stall_penalty(name)
+            if stall > 0:
+                # Hung service threads: requests queued behind the stall are
+                # simply served late, the consumer just waits longer.
+                yield ctx.sim.timeout(stall)
+            refusal = faults.refuse_serve(name, requester.name)
+            if refusal is not None:
+                done.fail(refusal).defuse()
+                continue
+            entry = self.tt.map_outputs.get(req.map_id)
+            if entry is None:
+                # Output condemned after the request was queued.
+                done.fail(FaultError("lost", f"map {req.map_id}")).defuse()
+                continue
+            meta, file = entry
+            seg_bytes, _seg_pairs = meta.segment(req.reduce_id)
+            take = max(0.0, min(req.max_bytes, seg_bytes - req.offset))
+            if take <= 0:
+                done.succeed(0.0)
+                continue
             if integ is not None:
-                integ.note_disk_error(self.tt.name)
-            done.fail(FaultError("disk", f"map {req.map_id} spill read")).defuse()
-            return
-        cached = yield from self.fetch_payload(req, meta, file, take)
-        if integ is not None:
-            if cached:
-                integ.settle_serve(self.tt.name, file.name)
-            else:
-                status = integ.check_segment_read(self.tt.name, file, take)
-                if status == "persistent":
-                    # The canonical on-disk output is rotten: no retry can
-                    # help, the consumer reports it for condemnation.
-                    done.fail(
-                        FaultError("corrupt", f"map {req.map_id} on-disk output")
-                    ).defuse()
-                    return
-                if status == "transient":
-                    done.fail(
-                        FaultError("checksum", f"map {req.map_id} segment read")
-                    ).defuse()
-                    return
-        model = ctx.conf.record_model
-        pairs = max(1, int(round(take / model.avg_pair_bytes)))
-        plan = self.packetizer().plan(
-            take, pairs, model.avg_pair_bytes, model.max_pair_bytes
-        )
-        try:
-            if not ctx.ucr.is_connected(self.tt.node, requester):
-                # The pair may have been torn down by a flap since the
-                # requester connected; pay re-establishment.
-                yield from ctx.ucr.connect(self.tt.node, requester)
-            yield from ctx.ucr.endpoint(self.tt.node, requester).send(
-                take + RESPONSE_HEADER_BYTES * max(1, plan.n_packets),
-                messages=max(1, plan.n_packets),
+                kind = integ.segment_serve_fault(name, file.name)
+                if kind is not None:
+                    done.fail(FaultError(kind, f"map {req.map_id} segment")).defuse()
+                    continue
+            if faults.disk_read_fails(name):
+                if integ is not None:
+                    integ.note_disk_error(name)
+                done.fail(FaultError("disk", f"map {req.map_id} spill read")).defuse()
+                continue
+            cached = yield from self.fetch_payload(req, meta, file, take)
+            if integ is not None:
+                if cached:
+                    integ.settle_serve(name, file.name)
+                else:
+                    status = integ.check_segment_read(name, file, take)
+                    if status == "persistent":
+                        # The canonical on-disk output is rotten: no retry
+                        # can help, the consumer reports it for condemnation.
+                        done.fail(
+                            FaultError("corrupt", f"map {req.map_id} on-disk output")
+                        ).defuse()
+                        continue
+                    if status == "transient":
+                        done.fail(
+                            FaultError("checksum", f"map {req.map_id} segment read")
+                        ).defuse()
+                        continue
+            # Message accounting from the engine's packet plan.
+            model = ctx.conf.record_model
+            pairs = max(1, int(round(take / model.avg_pair_bytes)))
+            plan = self.packetizer().plan(
+                take, pairs, model.avg_pair_bytes, model.max_pair_bytes
             )
-        except FaultError as exc:
-            done.fail(exc).defuse()
-            return
-        self.bytes_served += take
-        ctx.counters.add("shuffle.bytes", take)
-        eof = req.offset + take >= seg_bytes
-        self.after_serve(req, meta, eof, cached=bool(cached))
-        done.succeed(take)
+            try:
+                if not ctx.ucr.is_connected(self.tt.node, requester):
+                    # The pair may have been torn down by a flap since the
+                    # requester connected; pay re-establishment.
+                    yield from ctx.ucr.connect(self.tt.node, requester)
+                yield from ctx.ucr.endpoint(self.tt.node, requester).send(
+                    take + RESPONSE_HEADER_BYTES * max(1, plan.n_packets),
+                    messages=max(1, plan.n_packets),
+                )
+            except FaultError as exc:
+                done.fail(exc).defuse()
+                continue
+            self.bytes_served += take
+            ctx.counters.add("shuffle.bytes", take)
+            eof = req.offset + take >= seg_bytes
+            self.after_serve(req, meta, eof, cached=bool(cached))
+            done.succeed(take)
 
 
 @dataclass
@@ -415,9 +380,7 @@ class StreamingConsumer(ShuffleConsumer):
     # -- lifecycle ----------------------------------------------------------------
 
     def run(self) -> Generator[Event, Any, None]:
-        sim = self.ctx.sim
-        if self.ctx.faults is not None:
-            self.ctx.board.add_replacement_listener(self._on_replacement)
+        self.ctx.board.add_replacement_listener(self._on_replacement)
         inbox = self.ctx.board.subscribe()
         collector = self._spawn(
             self._collector(inbox), name=f"r{self.reduce_id}-collector"
@@ -430,8 +393,7 @@ class StreamingConsumer(ShuffleConsumer):
         try:
             yield self._gather_on([collector, *fetchers, pipeline])
         finally:
-            if self.ctx.faults is not None:
-                self.ctx.board.remove_replacement_listener(self._on_replacement)
+            self.ctx.board.remove_replacement_listener(self._on_replacement)
         if self.ctx.conf.backpressure_active:
             self.ctx.counters.peak("shuffle.mem.high_water_bytes", self._mem_hwm)
         # reduce.completed is counted by the JobTracker at commit time
@@ -797,22 +759,11 @@ class StreamingConsumer(ShuffleConsumer):
     def _request(
         self, state: FetchState, nbytes: float
     ) -> Generator[Event, Any, float]:
-        """RDMACopier: request/response over UCR endpoints.
+        """RDMACopier: request/response over UCR endpoints, with recovery.
 
-        Under fault injection this wraps the raw exchange in the retry /
-        back-off / penalty-box / report-lost loop; without a plan it is
-        exactly the raw exchange.
+        Wraps the raw exchange in the retry / back-off / penalty-box /
+        report-lost loop.  Returns 0 once the run is reported lost.
         """
-        if self.ctx.faults is None:
-            got = yield from self._request_once(state, nbytes)
-            return got
-        got = yield from self._request_robust(state, nbytes)
-        return got
-
-    def _request_robust(
-        self, state: FetchState, nbytes: float
-    ) -> Generator[Event, Any, float]:
-        """Fetch with recovery: retries, back-off, and loss reporting."""
         from repro.faults import FaultError
         from repro.mapreduce.maptask import TaskFailure
 
@@ -868,11 +819,7 @@ class StreamingConsumer(ShuffleConsumer):
         tt_node = ctx.cluster.node(state.meta.host)
         if not ctx.ucr.is_connected(self.node, tt_node):
             yield from ctx.ucr.connect(self.node, tt_node)
-        if ctx.conf.fetch_failure_rate > 0:
-            fate = ctx.rng.stream("fetchfail")
-            while fate.uniform() < ctx.conf.fetch_failure_rate:
-                ctx.counters.add("shuffle.fetch_retries", 1)
-                yield ctx.sim.timeout(ctx.conf.fetch_retry_delay)
+        yield from ctx.faults.transient_fetch_failures(ctx.counters)
         t0 = ctx.sim.now
         integ = ctx.integrity
         while True:

@@ -9,7 +9,8 @@ call — the paper's Java code reaches UCR through the JNI Adaptive
 Interface, which costs a fixed few microseconds per boundary crossing.
 
 Fault model (active only when the runtime is built with a
-:class:`repro.faults.FaultInjector`):
+:class:`repro.faults.FaultInjector` whose plan can take a port down, i.e.
+carries crashes or link flaps):
 
 * a **link flap** or **node crash** tears down every endpoint touching
   that node (queue pairs die with the port); later traffic must
@@ -132,8 +133,9 @@ class UCRRuntime:
         self.transport = Transport(sim, flows, spec)
         self._endpoints: dict[tuple[str, str], UCREndpoint] = {}
         self.connections_established = 0
-        #: Fault machinery (all None/zero and untouched without a plan).
-        self.faults = faults
+        #: Fault machinery (all None/zero and untouched unless the plan can
+        #: take a port down; other runs' sends pay one None test).
+        self.faults = faults if faults is not None and faults.breaks_links else None
         self.fallback_transport = (
             Transport(sim, flows, fallback) if fallback is not None else None
         )
@@ -152,9 +154,9 @@ class UCRRuntime:
         self.net_send_seconds = 0.0
         #: Highest send-queue depth seen on any single endpoint.
         self.max_endpoint_depth = 0
-        if faults is not None:
-            faults.on_flap(self.disconnect_node)
-            faults.on_crash(self.disconnect_node)
+        if self.faults is not None:
+            self.faults.on_flap(self.disconnect_node)
+            self.faults.on_crash(self.disconnect_node)
 
     def endpoint(self, local: Node, remote: Node) -> UCREndpoint:
         """The (already-connected) endpoint for this direction."""
@@ -214,7 +216,6 @@ class UCRRuntime:
         from repro.faults import FaultError
 
         faults = self.faults
-        assert faults is not None
         down = None
         if faults.link_down(local.name):
             down = local.name
@@ -263,7 +264,7 @@ class UCRRuntime:
         }
 
     def fault_metrics(self) -> dict[str, float]:
-        """``ucr.*`` namespace snapshot (registered only under faults)."""
+        """``ucr.*`` namespace snapshot (registered only under a fault plan)."""
         return {
             "connections": float(self.connections_established),
             "teardowns": float(self.teardowns),

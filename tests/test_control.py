@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster import westmere_cluster
 from repro.control import COUNTER_KEYS
-from repro.faults import DiskCorruption, FaultPlan
+from repro.faults import DiskCorruption, FaultInjector, FaultPlan
 from repro.mapreduce import run_job, terasort_job
 from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer
 from repro.obs.phases import PhaseTracer
@@ -288,12 +288,14 @@ def make_consumer(now=0.0, penalty_box_after=2, **overrides):
         **overrides,
     )
     sim = Simulator(start=now)
+    rng = RandomStreams(99)
     ctx = SimpleNamespace(
         sim=sim,
         counters=Counter(),
         tracer=PhaseTracer(enabled=False),
         conf=conf,
-        rng=RandomStreams(99),
+        rng=rng,
+        faults=FaultInjector(sim, rng, FaultPlan(), []),
     )
     tt = SimpleNamespace(node=None)
     return ShuffleConsumer(ctx, tt, reduce_id=0)

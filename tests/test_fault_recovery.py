@@ -4,14 +4,14 @@ Covers the :mod:`repro.faults` machinery proper: node crashes mid-job
 (map re-execution + reduce attempt migration), link flaps (fetch retry /
 back-off / penalty box, verbs->IPoIB downgrade), disk read errors, and
 responder stalls.  The transparent-overhead invariant — a job with no
-fault plan behaves bit-identically to one built before this subsystem
-existed — is checked via counter-key absence and determinism.
+fault plan carries an inert injector, spawns no fault process and
+exports no fault keys — is checked via key absence and determinism.
 
-Legacy rate-based injection (map_failure_rate etc.) is covered at the
-end of this file: map attempts die partway and are rescheduled, reduce
-attempts die and re-run their whole shuffle, fetches fail transiently
-and back off.  Jobs still complete correctly, recovery costs time, and
-the retry counters account for every injected fault.
+Rate-based injection (``FaultPlan.map_failure_rate`` etc.) is covered at
+the end of this file: map attempts die partway and are rescheduled,
+reduce attempts die and re-run their whole shuffle, fetches fail
+transiently and back off.  Jobs still complete correctly, recovery costs
+time, and the retry counters account for every injected fault.
 """
 
 import pytest
@@ -24,7 +24,10 @@ from repro.faults import (
     ResponderStall,
     standard_fault_plan,
 )
+from repro.cluster import build_cluster
 from repro.mapreduce import run_job, terasort_job
+from repro.mapreduce.driver import run_job_on
+from repro.sim.core import Simulator
 
 GB = 1024**3
 MB = 1024**2
@@ -202,11 +205,38 @@ def test_no_plan_leaves_no_fault_footprint():
     assert fault_keys == [], f"fault-free run leaked fault keys: {fault_keys}"
 
 
+@pytest.mark.parametrize("plan", [None, FaultPlan()])
+def test_no_plan_injector_is_inert(monkeypatch, plan):
+    spawned = []
+    spawn = Simulator.process
+
+    def recording(sim, gen, *args, **kwargs):
+        proc = spawn(sim, gen, *args, **kwargs)
+        spawned.append(proc.name)
+        return proc
+
+    monkeypatch.setattr(Simulator, "process", recording)
+    cluster = build_cluster(westmere_cluster(3), "ipoib", seed=1)
+    conf = terasort_job(1 * GB, 3, "rdma", block_bytes=64 * MB, fault_plan=plan)
+    result = run_job_on(cluster, conf)
+    assert spawned, "the recorder saw no process at all"
+    assert cluster.faults.plan.empty
+    assert not cluster.faults.active
+    assert [n for n in spawned if n.startswith("fault-")] == []
+    leaked = [
+        k
+        for k in {**result.counters, **result.metrics}
+        if k.startswith(("faults.", "ucr."))
+    ]
+    assert leaked == []
+
+
 def test_empty_plan_matches_no_plan():
     a = run("http")
     b = run("http", fault_plan=None)
-    assert a.counters == b.counters
-    assert a.execution_time == b.execution_time
+    c = run("http", fault_plan=FaultPlan())
+    assert a.counters == b.counters == c.counters
+    assert a.execution_time == b.execution_time == c.execution_time
 
 
 def test_plan_crashing_every_node_rejected():
@@ -219,13 +249,41 @@ def test_plan_crashing_every_node_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Legacy rate-based injection (map/reduce/fetch_failure_rate, no plan)
+# Rate-based injection (FaultPlan map/reduce/fetch failure rates)
 # ---------------------------------------------------------------------------
+
+#: FaultPlan fields; every other keyword is a JobConf override.
+RATES = (
+    "map_failure_rate",
+    "reduce_failure_rate",
+    "fetch_failure_rate",
+    "fetch_retry_delay",
+)
 
 
 def run_rated(engine, size=1 * GB, n_nodes=2, seed=0, **overrides):
-    conf = terasort_job(size, n_nodes, engine, **overrides)
+    rates = {k: overrides.pop(k) for k in RATES if k in overrides}
+    conf = terasort_job(
+        size, n_nodes, engine, fault_plan=FaultPlan(**rates), **overrides
+    )
     return run_job(westmere_cluster(n_nodes), "ipoib", conf, seed=seed)
+
+
+def test_rate_validation():
+    for field in ("map_failure_rate", "reduce_failure_rate"):
+        FaultPlan(**{field: 1.0})  # a certain failure is a valid plan
+        with pytest.raises(ValueError, match=rf"{field} -0.1 not in \[0, 1\]"):
+            FaultPlan(**{field: -0.1})
+        with pytest.raises(ValueError, match=rf"{field} 1.5 not in \[0, 1\]"):
+            FaultPlan(**{field: 1.5})
+    # A certain fetch failure would retry forever: rejected, never run.
+    with pytest.raises(ValueError, match=r"fetch_failure_rate 1.0 not in \[0, 1\)"):
+        FaultPlan(fetch_failure_rate=1.0)
+    with pytest.raises(ValueError, match=r"fetch_failure_rate -0.5 not in"):
+        FaultPlan(fetch_failure_rate=-0.5)
+    for delay in (0.0, -1.0):
+        with pytest.raises(ValueError, match="non-positive fetch_retry_delay"):
+            FaultPlan(fetch_retry_delay=delay)
 
 
 # ---------------------------------------------------------------------------

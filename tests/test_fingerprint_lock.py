@@ -33,6 +33,7 @@ if str(ROOT) not in sys.path:
 from perfbench.bench_jobs import fingerprint, output_errors  # noqa: E402
 from repro.cluster import westmere_cluster  # noqa: E402
 from repro.faults import (  # noqa: E402
+    FaultPlan,
     standard_corruption_plan,
     standard_fault_plan,
     standard_master_plan,
@@ -68,9 +69,13 @@ ROWS: dict[str, Callable[[float], dict[str, Any]]] = {
         "control_interval": 1.0,
         "integrity_checksums": True,
     },
-    "map-failure-rate": lambda hint: {"map_failure_rate": 0.3},
-    "reduce-failure-rate": lambda hint: {"reduce_failure_rate": 0.35},
-    "fetch-failure-rate": lambda hint: {"fetch_failure_rate": 0.05},
+    "map-failure-rate": lambda hint: {"fault_plan": FaultPlan(map_failure_rate=0.3)},
+    "reduce-failure-rate": lambda hint: {
+        "fault_plan": FaultPlan(reduce_failure_rate=0.35)
+    },
+    "fetch-failure-rate": lambda hint: {
+        "fault_plan": FaultPlan(fetch_failure_rate=0.05)
+    },
 }
 
 
