@@ -1023,18 +1023,22 @@ class FaultInjector:
                 return float(fate.uniform(0.05, 0.95)) * nbytes
         return float("inf")
 
-    def transient_fetch_failures(self, counters: Counter):
+    def transient_fetch_failures(self, counters: Counter) -> Iterable[Event]:
         """Back off once per transient failure drawn for one fetch (``yield from``).
 
         Each failure counts one ``shuffle.fetch_retries`` in ``counters``
         and waits ``fetch_retry_delay`` before the copier re-requests.
+        Without a fetch failure rate this is an empty tuple: the hot path
+        builds no generator.
         """
-        rate = self.plan.fetch_failure_rate
-        if rate <= 0:
-            return
+        if self.plan.fetch_failure_rate <= 0:
+            return ()
         if self._fetch_fate is None:
             self._fetch_fate = self._rng.stream("fetchfail")
-        while self._fetch_fate.uniform() < rate:
+        return self._fetch_retry_waits(counters)
+
+    def _fetch_retry_waits(self, counters: Counter):
+        while self._fetch_fate.uniform() < self.plan.fetch_failure_rate:
             counters.add("shuffle.fetch_retries", 1)
             yield self.sim.timeout(self.plan.fetch_retry_delay)
 

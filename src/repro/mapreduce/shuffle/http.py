@@ -29,6 +29,8 @@ from collections.abc import Generator
 from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import MapOutputMeta
+from repro.faults import FaultError
+from repro.mapreduce.maptask import TaskFailure
 from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer, ShuffleProvider
 from repro.sim.core import Event, Process
 from repro.sim.resources import Container, Resource, Store
@@ -69,8 +71,6 @@ class HttpShuffleProvider(ShuffleProvider):
         lost, serve fault, disk read error); the copier's retry loop
         handles it.
         """
-        from repro.faults import FaultError
-
         ctx = self.ctx
         sim = ctx.sim
         faults = ctx.faults
@@ -299,9 +299,6 @@ class HttpShuffleConsumer(ShuffleConsumer):
         lost and the copier parks until the re-executed map's replacement
         meta arrives, then fetches from the new host.
         """
-        from repro.faults import FaultError
-        from repro.mapreduce.maptask import TaskFailure
-
         ctx = self.ctx
         conf = ctx.conf
         faults = ctx.faults

@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, Any
 from repro.core.packets import Packetizer
 from repro.core.protocol import DataRequest, MapOutputMeta
 from repro.core.virtualmerge import VirtualMerger
+from repro.faults import FaultError
+from repro.mapreduce.maptask import TaskFailure
 from repro.mapreduce.shuffle.base import CreditGate, ShuffleConsumer, ShuffleProvider
 from repro.sim.core import Event
 from repro.sim.resources import Store
@@ -140,12 +142,14 @@ class QueueingProvider(ShuffleProvider):
         loop handles them); the event is pre-defused so a cancelled
         requester doesn't turn the refusal into an unhandled failure.
         """
-        from repro.faults import FaultError
-
         ctx = self.ctx
         faults = ctx.faults
         integ = ctx.integrity
-        name = self.tt.name
+        ucr = ctx.ucr
+        node = self.tt.node
+        name = node.name
+        model = ctx.conf.record_model
+        packetizer = self.packetizer()
         while True:
             req, done, requester = yield self.data_request_queue.get()
             if self._parked_requests:
@@ -199,17 +203,18 @@ class QueueingProvider(ShuffleProvider):
                         ).defuse()
                         continue
             # Message accounting from the engine's packet plan.
-            model = ctx.conf.record_model
             pairs = max(1, int(round(take / model.avg_pair_bytes)))
-            plan = self.packetizer().plan(
+            plan = packetizer.plan(
                 take, pairs, model.avg_pair_bytes, model.max_pair_bytes
             )
             try:
-                if not ctx.ucr.is_connected(self.tt.node, requester):
-                    # The pair may have been torn down by a flap since the
-                    # requester connected; pay re-establishment.
-                    yield from ctx.ucr.connect(self.tt.node, requester)
-                yield from ctx.ucr.endpoint(self.tt.node, requester).send(
+                try:
+                    ep = ucr.endpoint(node, requester)
+                except KeyError:
+                    # The pair was torn down by a flap since the requester
+                    # connected; pay re-establishment.
+                    ep = yield from ucr.connect(node, requester)
+                yield from ep.send(
                     take + RESPONSE_HEADER_BYTES * max(1, plan.n_packets),
                     messages=max(1, plan.n_packets),
                 )
@@ -764,9 +769,6 @@ class StreamingConsumer(ShuffleConsumer):
         Wraps the raw exchange in the retry / back-off / penalty-box /
         report-lost loop.  Returns 0 once the run is reported lost.
         """
-        from repro.faults import FaultError
-        from repro.mapreduce.maptask import TaskFailure
-
         ctx = self.ctx
         conf = ctx.conf
         faults = ctx.faults
