@@ -981,11 +981,10 @@ class FaultInjector:
 
         Counts one ``responder_stalls`` tick per affected service call.
         """
-        windows = self._stall_windows.get(node)
-        if windows is None:
+        if node not in self._stall_windows:
             return 0.0
         now = self.sim.now
-        for s, e in windows:
+        for s, e in self._stall_windows[node]:
             if s <= now < e:
                 self.counters.add("responder_stalls", 1)
                 return e - now

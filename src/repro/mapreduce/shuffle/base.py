@@ -274,10 +274,9 @@ class ShuffleConsumer:
 
     def _penalty_remaining(self, host: str) -> float:
         """Seconds until ``host`` leaves the penalty box (0 when out)."""
-        until = self._penalty_until.get(host)
-        if until is None:
+        if host not in self._penalty_until:
             return 0.0
-        return max(0.0, until - self.ctx.sim.now)
+        return max(0.0, self._penalty_until[host] - self.ctx.sim.now)
 
     def _note_fetch_success(self, host: str) -> None:
         """Decay ``host``'s penalty state after one good fetch.
@@ -290,6 +289,8 @@ class ShuffleConsumer:
         serves again, so making new fetches wait out a stale sentence
         only drags the tail.
         """
+        if host not in self._host_failures and host not in self._penalty_until:
+            return  # nothing to decay: the common, healthy case
         streak = self._host_failures.get(host)
         if streak is not None:
             streak //= 2
