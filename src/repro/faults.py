@@ -956,8 +956,6 @@ class FaultInjector:
 
     def link_down(self, node: str) -> bool:
         """Is the node's port unusable right now (crashed or flapping)?"""
-        if not self.breaks_links:
-            return False
         if node in self.crashed:
             return True
         now = self.sim.now
@@ -993,7 +991,7 @@ class FaultInjector:
     def disk_read_fails(self, node: str) -> bool:
         """Draw one provider-side segment read on ``node`` against
         ``disk_error_rate`` (from that node's own seeded stream)."""
-        if not self.plan.disk_error_rate:
+        if self.plan.disk_error_rate <= 0:
             return False
         stream = self._disk_rngs.get(node)
         if stream is None:
