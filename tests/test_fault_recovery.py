@@ -16,7 +16,7 @@ time, and the retry counters account for every injected fault.
 
 import pytest
 
-from repro.cluster import westmere_cluster
+from repro.cluster import build_cluster, westmere_cluster
 from repro.faults import (
     FaultPlan,
     LinkFlap,
@@ -24,7 +24,6 @@ from repro.faults import (
     ResponderStall,
     standard_fault_plan,
 )
-from repro.cluster import build_cluster
 from repro.mapreduce import run_job, terasort_job
 from repro.mapreduce.driver import run_job_on
 from repro.sim.core import Simulator
